@@ -20,7 +20,7 @@
 
 #include "bench_util.hpp"
 #include "data/synthetic.hpp"
-#include "guard/guarded_runner.hpp"
+#include "guard/guarded_mc.hpp"
 #include "skip/threshold_optimizer.hpp"
 
 using namespace fastbcnn;
@@ -41,7 +41,7 @@ medianGuardedMs(const BcnnTopology &topo, const IndicatorSet &ind,
     for (int r = 0; r < reps; ++r) {
         const Clock::time_point t0 = Clock::now();
         Expected<GuardedMcResult> res =
-            tryRunGuardedPredictive(topo, ind, guard, input, opts);
+            tryRunGuardedMc(topo, ind, guard, input, opts);
         const Clock::time_point t1 = Clock::now();
         FASTBCNN_CHECK(res.hasValue(), "guarded run must succeed");
         FASTBCNN_CHECK_EQ(res.value().outputs.size(), opts.samples);
@@ -85,6 +85,7 @@ main()
     GuardedMcOptions mc;
     mc.samples = fast ? 10 : 20;
     mc.dropRate = mopts.dropRate;
+    mc.recordMasks = false;
 
     // Clean path: same calibrated thresholds, audit off vs audit on.
     GuardOptions off;
@@ -138,7 +139,7 @@ main()
         v = 2.0f * v + 0.5f;
     GuardedMcOptions driftMc = mc;
     driftMc.seed = 17;
-    Expected<GuardedMcResult> drift = tryRunGuardedPredictive(
+    Expected<GuardedMcResult> drift = tryRunGuardedMc(
         topo, ind, guardDrift, shifted, driftMc);
     FASTBCNN_CHECK(drift.hasValue(), "drift run must degrade, not die");
     const GuardSnapshot after = drift.value().finalSnapshot;

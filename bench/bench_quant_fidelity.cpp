@@ -104,19 +104,6 @@ timeMsBestOf3(F &&fn)
     return best;
 }
 
-ForwardTarget
-targetOf(const quant::QuantizedNetwork &qnet, const Network &net)
-{
-    ForwardTarget target;
-    const quant::QuantizedNetwork *q = &qnet;
-    target.forward = [q](const Tensor &in, ForwardHooks *hooks) {
-        return q->forward(in, hooks);
-    };
-    target.name = net.name() + "-int8";
-    target.inputShape = net.inputShape();
-    return target;
-}
-
 McResult
 mustRun(Expected<McResult> run, const char *what)
 {
@@ -168,7 +155,7 @@ main()
     opts.recordMasks = false;
 
     const simd::SimdLevel saved = simd::activeLevel();
-    const ForwardTarget qtarget = targetOf(qnet, net);
+    const ForwardTarget qtarget = quant::int8Target(qnet);
 
     // --- int8 bit identity across levels x threads ------------------
     std::vector<std::vector<float>> ref_outputs;

@@ -404,6 +404,8 @@ main(int argc, char **argv)
     //    path: a shadow audit re-computes a sample of the skipped
     //    neurons and the guard backs a kernel's alpha off when its
     //    mispredict rate confidently exceeds the calibrated budget.
+    //    It runs on the same MC runner (f32 prediction mode), so the
+    //    deadline, quorum and adaptive flags apply to it as well.
     if (cli.auditRate > 0.0) {
         Expected<GuardedMcResult> guarded = engine.tryGuardedMc(input);
         if (!guarded.hasValue()) {
@@ -412,9 +414,15 @@ main(int argc, char **argv)
                       << "]: " << guarded.error().message() << "\n";
             return 1;
         }
+        const DegradationCensus &census3 = guarded.value().census;
+        std::cout << format("\nGuarded skip run (f32): %zu of %zu "
+                            "samples survived%s\n",
+                            census3.survived, census3.requested,
+                            census3.converged ? " (adaptive early exit)"
+                                              : "");
         const GuardSnapshot &snap = guarded.value().finalSnapshot;
         std::cout << format(
-            "\nSkip guard (audit rate %.3f, tolerance %.3f): "
+            "Skip guard (audit rate %.3f, tolerance %.3f): "
             "%llu of %llu audited neurons mispredicted\n",
             cli.auditRate, snap.tolerance,
             static_cast<unsigned long long>(snap.mispredictedNeurons),

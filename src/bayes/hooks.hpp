@@ -25,11 +25,10 @@ class Network;
  * Draw the full MaskSet of one MC sample directly from @p brng,
  * without running a forward pass: every Dropout layer of @p net, in
  * node order, gets shape.numel() bits in flat CHW order — exactly the
- * stream SamplingHooks would consume during net.forward().  The
- * predictive-only paths (the guarded skip runner) use this to obtain
- * the same per-sample masks as the exact MC runner at zero forward
- * cost, so their sample t is mask-identical to the reference's
- * sample t for the same seed.
+ * stream SamplingHooks would consume during net.forward(), and the
+ * stream the guarded prediction-mode target pulls through the runner's
+ * hooks.  Replays and reference loops use this to obtain sample t's
+ * masks for a seed without running a forward pass.
  */
 MaskSet sampleMasks(const Network &net, Brng &brng);
 

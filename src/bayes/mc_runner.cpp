@@ -2,6 +2,7 @@
 
 #include "adaptive.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -60,7 +61,7 @@ runSampleBody(const ForwardTarget &target, const Tensor &input,
         injector.emplace(*opts.faults, t, &sampling);
         hooks = &*injector;
     }
-    slot.output = target.forward(input, hooks);
+    slot.output = target.forward(input, hooks, t);
     if (opts.recordMasks)
         slot.masks = sampling.takeMasks();
 }
@@ -98,8 +99,8 @@ runGuardedSample(const ForwardTarget &target, const Tensor &input,
     }
 }
 
-} // namespace
-
+/** @return the worker count for @p requested threads (0 = one per
+ *  hardware thread), capped at @p samples. */
 std::size_t
 resolveMcThreads(std::size_t requested, std::size_t samples)
 {
@@ -110,6 +111,8 @@ resolveMcThreads(std::size_t requested, std::size_t samples)
     }
     return n < samples ? n : samples;
 }
+
+} // namespace
 
 Status
 validateMcOptions(const McOptions &opts)
@@ -174,22 +177,29 @@ makeBrng(BrngKind kind, double drop_rate, std::uint64_t seed)
     panic("unknown BrngKind %d", static_cast<int>(kind));
 }
 
-Expected<McResult>
-tryRunMcDropout(const Network &net, const Tensor &input,
-                const McOptions &opts)
+ForwardTarget
+floatTarget(const Network &net)
 {
     ForwardTarget target;
-    target.forward = [&net](const Tensor &in, ForwardHooks *hooks) {
+    target.forward = [&net](const Tensor &in, ForwardHooks *hooks,
+                            std::size_t) {
         return net.forward(in, hooks);
     };
     target.name = net.name();
     target.inputShape = net.inputShape();
-    return tryRunMcDropoutWith(target, input, opts);
+    return target;
+}
+
+Expected<McResult>
+tryRunMcDropout(const Network &net, const Tensor &input,
+                const McOptions &opts)
+{
+    return tryRunMcDropoutWith(floatTarget(net), input, opts);
 }
 
 Expected<McResult>
 tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
-                    const McOptions &opts)
+                    const McOptions &opts, McRunObserver *observer)
 {
     FASTBCNN_RETURN_IF_ERROR(validateMcOptions(opts));
     if (!target.forward) {
@@ -222,7 +232,7 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
     // unaffected-neuron machinery downstream.  A non-finite output
     // here is a whole-run failure — every sample shares these
     // weights, so no quorum of samples could be healthy.
-    result.preOutput = target.forward(input, nullptr);
+    result.preOutput = target.forward(input, nullptr, kPreInference);
     if (opts.sampleGuard) {
         const std::size_t bad = firstNonFinite(result.preOutput);
         if (bad != static_cast<std::size_t>(-1)) {
@@ -257,41 +267,49 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
     };
 
     // Produce samples [lo, hi), serially or on the worker pool.  Both
-    // the adaptive and the fixed-T paths run entirely through here, so
-    // a non-adaptive run is exactly one block [0, effectiveT) — the
-    // pre-existing behaviour, unchanged.
+    // the adaptive and the fixed-T paths run entirely through here.
+    // An observer cuts the range into stretches at its block
+    // boundaries; without one a non-adaptive run is one stretch.
+    const std::size_t block =
+        observer != nullptr ? observer->blockSize() : effectiveT;
+    FASTBCNN_CHECK(block > 0, "McRunObserver::blockSize is 0");
     const auto runBlock = [&](std::size_t lo, std::size_t hi) {
-        const std::size_t workers =
-            resolveMcThreads(opts.threads, hi - lo);
-        if (workers <= 1) {
-            for (std::size_t t = lo; t < hi; ++t) {
-                // Sample 0 always launches: a partial average needs
-                // at least one term no matter how tight the deadline.
-                if (t > 0 && expired()) {
-                    markSkipped(slots[t]);
-                    continue;
-                }
-                runGuardedSample(target, input, opts, t, slots[t]);
-            }
-        } else {
+        for (std::size_t end = lo; lo < hi; lo = end) {
+            end = std::min(hi, (lo / block + 1) * block);
+            if (observer != nullptr && lo % block == 0)
+                observer->onBlockStart(lo);
             std::atomic<std::size_t> next{lo};
-            std::vector<std::thread> pool;
-            pool.reserve(workers);
-            for (std::size_t w = 0; w < workers; ++w) {
-                pool.emplace_back([&, hi]() {
-                    for (std::size_t t = next.fetch_add(1); t < hi;
-                         t = next.fetch_add(1)) {
-                        if (t > 0 && expired()) {
-                            markSkipped(slots[t]);
-                            continue;
-                        }
-                        runGuardedSample(target, input, opts, t,
-                                         slots[t]);
+            const auto lane = [&]() {
+                for (std::size_t t = next.fetch_add(1); t < end;
+                     t = next.fetch_add(1)) {
+                    // Sample 0 always launches: a partial average
+                    // needs at least one term however tight the
+                    // deadline.
+                    if (t > 0 && expired()) {
+                        markSkipped(slots[t]);
+                        continue;
                     }
-                });
+                    runGuardedSample(target, input, opts, t, slots[t]);
+                }
+            };
+            const std::size_t workers =
+                resolveMcThreads(opts.threads, end - lo);
+            if (workers <= 1) {
+                lane();
+            } else {
+                std::vector<std::thread> pool;
+                pool.reserve(workers);
+                for (std::size_t w = 0; w < workers; ++w)
+                    pool.emplace_back(lane);
+                for (std::thread &worker : pool)
+                    worker.join();
             }
-            for (std::thread &worker : pool)
-                worker.join();
+            if (observer == nullptr)
+                continue;
+            for (std::size_t t = lo; t < end; ++t) {
+                if (slots[t].code == ErrorCode::Ok)
+                    observer->onSampleSurvived(t);
+            }
         }
     };
 

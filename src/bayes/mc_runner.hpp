@@ -130,25 +130,52 @@ struct McOptions {
      * Numeric path for the forward passes.  The runner itself is
      * precision-agnostic (it drives whatever ForwardTarget it is
      * handed); this knob is consumed by the engine layer, which picks
-     * the float network or its int8 mirror before calling the runner,
-     * and by the serving layer's per-request override plumbing.
+     * the float network or its int8 mirror before calling the runner
+     * (guarded skip inference is float-only and refuses Int8), and by
+     * the serving layer's per-request override plumbing.
      */
     Precision precision = Precision::Float32;
 };
 
+/** The sample index a ForwardFn receives for the pre-inference. */
+inline constexpr std::size_t kPreInference = static_cast<std::size_t>(-1);
+
 /**
  * A forward pass the MC runner can drive: the float Network, its int8
- * QuantizedNetwork mirror, or anything else that maps (input, hooks)
- * to an output tensor.  Must be thread-safe for concurrent calls —
- * every MC sample may run on a different worker.
+ * mirror, the guard's prediction mode.  It maps (input, hooks, sample
+ * index t — kPreInference, with null hooks, for the pre-inference) to
+ * an output tensor, and must be thread-safe for concurrent samples.
  */
-using ForwardFn = std::function<Tensor(const Tensor &, ForwardHooks *)>;
+using ForwardFn =
+    std::function<Tensor(const Tensor &, ForwardHooks *, std::size_t)>;
 
 /** The subject of an MC run when driving a ForwardFn directly. */
 struct ForwardTarget {
     ForwardFn forward;  ///< the forward pass (required, non-empty)
     std::string name;   ///< model name for error messages
     Shape inputShape;   ///< validated against the run's input
+};
+
+/** @return @p net's own forward as a target (@p net must outlive it). */
+ForwardTarget floatTarget(const Network &net);
+
+/**
+ * Optional per-run observer of tryRunMcDropoutWith (the skip guard's
+ * hook).  The runner cuts the samples into blocks of blockSize(), on
+ * top of any adaptive checkpoints, and calls the observer on its own
+ * thread only: onBlockStart(first) before a block's first sample
+ * launches, and onSampleSurvived(t) in ascending t for each survivor
+ * once its stretch has finished, before any later sample launches.
+ * A checkpoint inside a block splits its survivors' reports but not
+ * the block, so adaptive runs stay a prefix of the fixed-T run.
+ */
+class McRunObserver
+{
+  public:
+    virtual ~McRunObserver() = default;
+    virtual std::size_t blockSize() const = 0;  ///< >= 1
+    virtual void onBlockStart(std::size_t first) = 0;
+    virtual void onSampleSurvived(std::size_t t) = 0;
 };
 
 /**
@@ -175,15 +202,6 @@ struct McResult {
     /** @return true when fewer than the requested samples survived. */
     bool degraded() const { return census.degraded; }
 };
-
-/**
- * Resolve a requested thread count (0 = one per hardware thread) to a
- * concrete worker count, capped at @p samples.  Shared by the MC
- * runner and the guarded predictive runner so both schedule sample
- * lanes the same way.
- */
-std::size_t resolveMcThreads(std::size_t requested,
-                             std::size_t samples);
 
 /**
  * Construct the requested Brng implementation.  The 64-bit seed is
@@ -214,13 +232,17 @@ std::unique_ptr<Brng> makeBrng(BrngKind kind, double drop_rate,
 /**
  * Generalised MC-dropout run over an arbitrary forward pass.  Same
  * semantics, guards and determinism contract as tryRunMcDropout() —
- * that overload is a thin wrapper handing the Network's forward here.
- * The int8 engine hands its QuantizedNetwork mirror instead, so both
- * precisions share one scheduler, guard and census implementation.
+ * that overload is a thin wrapper handing floatTarget(net) here.  The
+ * int8 engine hands its QuantizedNetwork mirror instead and the
+ * guarded skip path its prediction-mode target plus an @p observer,
+ * so every numeric path shares one scheduler, guard and census
+ * implementation.
+ *
+ * @param observer optional block observer (not owned; may be nullptr)
  */
 [[nodiscard]] Expected<McResult> tryRunMcDropoutWith(
     const ForwardTarget &target, const Tensor &input,
-    const McOptions &opts);
+    const McOptions &opts, McRunObserver *observer = nullptr);
 
 /**
  * Legacy convenience wrapper around tryRunMcDropout(): identical

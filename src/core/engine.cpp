@@ -231,15 +231,8 @@ FastBcnnEngine::tryMcReference(const Tensor &input,
                           "has no quantized model; call tryQuantize() "
                           "first", net_.name().c_str());
         }
-        ForwardTarget target;
-        const quant::QuantizedNetwork *qnet = quantNet_.get();
-        target.forward = [qnet](const Tensor &in,
-                                ForwardHooks *hooks) {
-            return qnet->forward(in, hooks);
-        };
-        target.name = net_.name();
-        target.inputShape = net_.inputShape();
-        return tryRunMcDropoutWith(target, input, mc);
+        return tryRunMcDropoutWith(quant::int8Target(*quantNet_), input,
+                                   mc);
     }
     return tryRunMcDropout(net_, input, mc);
 }
@@ -272,13 +265,9 @@ FastBcnnEngine::tryReferenceDigest(const Tensor &input,
 Expected<GuardedMcResult>
 FastBcnnEngine::tryGuardedMc(const Tensor &input) const
 {
-    GuardedMcOptions gopts;
-    gopts.samples = opts_.mc.samples;
-    gopts.dropRate = opts_.mc.dropRate;
-    gopts.brng = opts_.mc.brng;
-    gopts.seed = opts_.mc.seed;
-    gopts.threads = opts_.mc.threads;
-    return tryGuardedMc(input, gopts);
+    McOptions mc = opts_.mc;
+    mc.precision = Precision::Float32;
+    return tryGuardedMc(input, mc);
 }
 
 Expected<GuardedMcResult>
@@ -296,8 +285,7 @@ FastBcnnEngine::tryGuardedMc(const Tensor &input,
                       "'%s'; enable it before calibrating to use "
                       "guarded inference", net_.name().c_str());
     }
-    return tryRunGuardedPredictive(topo_, indicators_, *guard_, input,
-                                   opts);
+    return tryRunGuardedMc(topo_, indicators_, *guard_, input, opts);
 }
 
 } // namespace fastbcnn

@@ -16,7 +16,7 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "guard/guarded_runner.hpp"
+#include "guard/guarded_mc.hpp"
 #include "quant/quantize.hpp"
 #include "sim/accelerator.hpp"
 
@@ -188,16 +188,21 @@ class FastBcnnEngine
 
     /**
      * Guarded predictive MC inference (EngineOptions::guard must be
-     * enabled and the engine calibrated): samples run in prediction
-     * mode under the guard's effective thresholds with shadow
-     * auditing; backoff levels persist across calls on the engine's
-     * guard.  The default overload derives GuardedMcOptions from the
-     * engine's McOptions (T, p, BRNG, seed, threads).
+     * enabled and the engine calibrated): the MC runner drives
+     * prediction mode under the guard's effective thresholds with
+     * shadow auditing (guard/guarded_mc.hpp); backoff levels persist
+     * across calls on the engine's guard.  The default overload runs
+     * the engine's McOptions on the float path — prediction mode has
+     * no int8 variant.
      */
     [[nodiscard]] Expected<GuardedMcResult> tryGuardedMc(
         const Tensor &input) const;
 
-    /** Per-request overload with caller-supplied sampling options. */
+    /**
+     * Per-request overload with caller-supplied sampling options
+     * (quorum, deadline, faults and adaptive exit included); Int8
+     * precision is an InvalidArgument error.
+     */
     [[nodiscard]] Expected<GuardedMcResult> tryGuardedMc(
         const Tensor &input, const GuardedMcOptions &opts) const;
 

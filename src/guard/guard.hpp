@@ -132,7 +132,7 @@ GuardSnapshot mergeGuardSnapshots(
  *
  * Thread-safe (internal mutex); deterministic given the onSampleAudit
  * call order.  Runners therefore fold audits in ascending sample
- * order at round boundaries — see guarded_runner.cpp.
+ * order at block boundaries — see guarded_mc.cpp.
  */
 class SkipGuard
 {

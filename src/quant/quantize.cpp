@@ -644,4 +644,17 @@ QuantizedNetwork::run(const Tensor &input, ForwardHooks *hooks,
     return float_out;
 }
 
+ForwardTarget
+int8Target(const QuantizedNetwork &qnet)
+{
+    ForwardTarget target;
+    target.forward = [&qnet](const Tensor &in, ForwardHooks *hooks,
+                             std::size_t) {
+        return qnet.forward(in, hooks);
+    };
+    target.name = qnet.modelName() + "-int8";
+    target.inputShape = qnet.inputShape();
+    return target;
+}
+
 } // namespace fastbcnn::quant

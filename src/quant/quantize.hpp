@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "bayes/mc_runner.hpp"
 #include "common/bitvolume.hpp"
 #include "common/error.hpp"
 #include "nn/network.hpp"
@@ -201,6 +202,12 @@ class QuantizedNetwork
     float inputScale_ = 1.0f;
     std::vector<QuantNode> nodes_;
 };
+
+/**
+ * @return the int8 MC target: @p qnet's forward, for
+ *         tryRunMcDropoutWith() (@p qnet must outlive the target).
+ */
+ForwardTarget int8Target(const QuantizedNetwork &qnet);
 
 } // namespace fastbcnn::quant
 

@@ -4,6 +4,22 @@
 
 namespace fastbcnn::serve {
 
+McOptions
+McOverrides::applyTo(McOptions base) const
+{
+    base.samples = samples.value_or(base.samples);
+    base.quorum = quorum.value_or(base.quorum);
+    base.threads = threads.value_or(base.threads);
+    base.seed = seed.value_or(base.seed);
+    base.precision = precision.value_or(base.precision);
+    base.targetCiWidth = targetCiWidth.value_or(base.targetCiWidth);
+    base.minSamples = minSamples.value_or(base.minSamples);
+    base.sampleBudget = sampleBudget.value_or(base.sampleBudget);
+    if (faults != nullptr)
+        base.faults = faults;
+    return base;
+}
+
 const char *
 priorityName(Priority priority)
 {

@@ -24,7 +24,7 @@
 #include <string>
 
 #include "bayes/mc_runner.hpp"
-#include "guard/guarded_runner.hpp"
+#include "guard/guarded_mc.hpp"
 #include "tensor/tensor.hpp"
 
 namespace fastbcnn::serve {
@@ -119,7 +119,8 @@ struct McOverrides {
      * Numeric path override (unset = replica default).  Int8 requires
      * the served model's engines to carry a quantized mirror —
      * admission rejects otherwise (see ModelInfo::int8Available).
-     * Ignored by the guarded-skip path, which is float-only.
+     * The guarded-skip path is float-only: admission rejects a
+     * useGuardedSkip request whose merged precision is Int8.
      */
     std::optional<Precision> precision;
     /**
@@ -142,6 +143,9 @@ struct McOverrides {
      * server.
      */
     const FaultPlan *faults = nullptr;
+
+    /** @return @p base with every set override applied. */
+    McOptions applyTo(McOptions base) const;
 };
 
 /** One inference request. */
@@ -164,10 +168,10 @@ struct InferRequest {
     /**
      * Dispatch through the guarded predictive path (engine
      * tryGuardedMc) instead of the exact MC reference.  Requires the
-     * model's engines to have EngineOptions::guard enabled (admission
-     * rejects otherwise).  The guarded path honours the samples /
-     * threads / seed overrides but not quorum, faults, or the
-     * deadline — prediction-mode samples are not fault-isolated lanes.
+     * model's engines to have EngineOptions::guard enabled and an f32
+     * merged precision (admission rejects otherwise).  Both paths run
+     * on the one MC runner: overrides, quorum, faults, deadline and
+     * brownout apply alike.
      */
     bool useGuardedSkip = false;
     /** Cancellation flag (keep a copy to cancel later). */
@@ -221,8 +225,8 @@ struct InferResponse {
     std::uint64_t modelVersion = 0;
     /**
      * Numeric path the request actually ran on (replica default
-     * merged with any McOverrides::precision; always Float32 on the
-     * guarded-skip path).  Meaningless unless dispatched.
+     * merged with any McOverrides::precision).  Meaningless unless
+     * dispatched.
      */
     Precision precision = Precision::Float32;
     /**
@@ -234,19 +238,27 @@ struct InferResponse {
      */
     BrownoutLevel brownoutLevel = BrownoutLevel::Normal;
     /**
-     * Samples the run actually averaged over (census.survived), i.e.
-     * the effective T' after adaptive exit, budget clamps and fault
-     * casualties.  0 when never dispatched or on the guarded path.
+     * Samples the run actually averaged over (census.survived of
+     * result or guarded), i.e. the effective T' after adaptive exit,
+     * budget clamps and fault casualties.  0 unless served.
      */
     std::size_t effectiveSamples = 0;
 
     /** @return true when the request was served. */
     bool ok() const { return outcome == Outcome::Ok; }
 
-    /** @return true when served but on fewer than T samples. */
+    /** @return the MC result of either path (nullptr unless served). */
+    const McResult *served() const
+    {
+        if (guarded.has_value())
+            return &*guarded;
+        return result.has_value() ? &*result : nullptr;
+    }
+
+    /** @return true when served but some samples failed. */
     bool degraded() const
     {
-        return result.has_value() && result->degraded();
+        return served() != nullptr && served()->degraded();
     }
 
     /**

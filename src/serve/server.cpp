@@ -187,29 +187,20 @@ InferenceServer::submit(InferRequest request)
         // immediate submit error instead of a deferred Failed
         // response.  The deadline merge is dispatch-time state and is
         // validated by construction (remainingMs() >= 0).
-        McOptions merged = info.mcDefaults;
-        const McOverrides &over = request.mc;
-        if (over.samples.has_value())
-            merged.samples = *over.samples;
-        if (over.quorum.has_value())
-            merged.quorum = *over.quorum;
-        if (over.threads.has_value())
-            merged.threads = *over.threads;
-        if (over.seed.has_value())
-            merged.seed = *over.seed;
-        if (over.precision.has_value())
-            merged.precision = *over.precision;
-        if (over.targetCiWidth.has_value())
-            merged.targetCiWidth = *over.targetCiWidth;
-        if (over.minSamples.has_value())
-            merged.minSamples = *over.minSamples;
-        if (over.sampleBudget.has_value())
-            merged.sampleBudget = *over.sampleBudget;
+        const McOptions merged = request.mc.applyTo(info.mcDefaults);
         Status valid = validateMcOptions(merged);
         if (!valid.isOk()) {
             stats_.add("rejected_invalid");
             return std::move(valid).withContext(
                 "per-request MC overrides");
+        }
+        if (merged.precision == Precision::Int8 &&
+            request.useGuardedSkip) {
+            stats_.add("rejected_invalid");
+            return errorf(ErrorCode::InvalidArgument,
+                          "useGuardedSkip runs prediction mode in f32 "
+                          "only; Precision::Int8 cannot be served on "
+                          "the guarded path");
         }
         if (merged.precision == Precision::Int8 &&
             !info.int8Available) {
@@ -308,8 +299,8 @@ InferenceServer::complete(PendingRequest &&pending,
     stats_.add(outcomeStatKey(response.outcome));
     if (response.degraded())
         stats_.add("degraded");
-    const bool converged = response.result.has_value() &&
-                           response.result->census.converged;
+    const bool converged = response.served() != nullptr &&
+                           response.served()->census.converged;
     if (converged)
         stats_.add("converged");
     latency_[static_cast<std::size_t>(response.outcome)].record(

@@ -24,42 +24,6 @@ EngineWorker::replica(const std::string &model_id) const
     return registry_->acquire(model_id, index_);
 }
 
-McOptions
-EngineWorker::effectiveOptions(const FastBcnnEngine &engine,
-                               const PendingRequest &pending,
-                               ServeClock::time_point now)
-{
-    McOptions mc = engine.options().mc;
-    const McOverrides &over = pending.request.mc;
-    if (over.samples.has_value())
-        mc.samples = *over.samples;
-    if (over.quorum.has_value())
-        mc.quorum = *over.quorum;
-    if (over.threads.has_value())
-        mc.threads = *over.threads;
-    if (over.seed.has_value())
-        mc.seed = *over.seed;
-    if (over.precision.has_value())
-        mc.precision = *over.precision;
-    if (over.targetCiWidth.has_value())
-        mc.targetCiWidth = *over.targetCiWidth;
-    if (over.minSamples.has_value())
-        mc.minSamples = *over.minSamples;
-    if (over.sampleBudget.has_value())
-        mc.sampleBudget = *over.sampleBudget;
-    if (over.faults != nullptr)
-        mc.faults = over.faults;
-    if (pending.hasDeadline) {
-        // Hand the MC runner only what is left of the end-to-end
-        // budget, tightened further by any replica-level deadline.
-        const double remaining = pending.remainingMs(now);
-        mc.deadlineMs = mc.deadlineMs > 0.0
-                            ? std::min(mc.deadlineMs, remaining)
-                            : remaining;
-    }
-    return mc;
-}
-
 void
 EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
                        const CompleteFn &complete)
@@ -109,59 +73,44 @@ EngineWorker::runBatch(std::vector<PendingRequest> &&batch,
             continue;
         }
 
-        McOptions mc = effectiveOptions(*engine, pending, now);
+        McOptions mc = pending.request.mc.applyTo(engine->options().mc);
+        if (pending.hasDeadline) {
+            // Hand the MC runner only what is left of the end-to-end
+            // budget, tightened further by any replica-level deadline.
+            const double remaining = pending.remainingMs(now);
+            mc.deadlineMs = mc.deadlineMs > 0.0
+                                ? std::min(mc.deadlineMs, remaining)
+                                : remaining;
+        }
         // Brownout rides on top of the merged options: the ladder's
         // quality levers (adaptive exit, sample-budget clamp) degrade
         // the run, never past what the caller explicitly asked for.
-        // The guarded path has no sample census to degrade, so the
-        // ladder leaves it alone.
-        if (brownout_ != nullptr && !pending.request.useGuardedSkip) {
+        if (brownout_ != nullptr) {
             response.brownoutLevel =
                 brownout_->apply(mc, pending.request.priority);
         }
-        // The guarded predictive path is float-only; the exact path
-        // runs whatever the merged options selected.
-        response.precision = pending.request.useGuardedSkip
-                                 ? Precision::Float32
-                                 : mc.precision;
+        response.precision = mc.precision;
         const ServeClock::time_point begin = ServeClock::now();
-        if (pending.request.useGuardedSkip) {
-            // Guarded predictive path: same sampling knobs, but no
-            // quorum / faults / deadline — prediction-mode samples
-            // are not fault-isolated lanes (see InferRequest).
-            GuardedMcOptions gopts;
-            gopts.samples = mc.samples;
-            gopts.dropRate = mc.dropRate;
-            gopts.brng = mc.brng;
-            gopts.seed = mc.seed;
-            gopts.threads = mc.threads;
-            Expected<GuardedMcResult> run =
-                engine->tryGuardedMc(pending.request.input, gopts);
-            response.serviceMs = elapsedMs(begin, ServeClock::now());
-            if (run.hasValue()) {
-                response.outcome = Outcome::Ok;
-                response.guarded = std::move(run).value();
-            } else {
-                response.outcome = Outcome::Failed;
-                response.error =
-                    std::move(run).takeError().withContext(
-                        format("serving model '%s' (guarded)",
-                               model.c_str()));
-            }
-            complete(std::move(pending), std::move(response));
-            continue;
-        }
-        Expected<McResult> run =
-            engine->tryMcReference(pending.request.input, mc);
+        const Tensor &input = pending.request.input;
+        Status failure;
+        const auto keep = [&failure](auto run, auto &slot) {
+            if (run.hasValue())
+                slot = std::move(run).value();
+            else
+                failure = std::move(run).takeError();
+        };
+        if (pending.request.useGuardedSkip)
+            keep(engine->tryGuardedMc(input, mc), response.guarded);
+        else
+            keep(engine->tryMcReference(input, mc), response.result);
         response.serviceMs = elapsedMs(begin, ServeClock::now());
-        if (run.hasValue()) {
+        if (failure.isOk()) {
             response.outcome = Outcome::Ok;
-            response.result = std::move(run).value();
             response.effectiveSamples =
-                response.result->census.survived;
+                response.served()->census.survived;
         } else {
             response.outcome = Outcome::Failed;
-            response.error = std::move(run).takeError().withContext(
+            response.error = std::move(failure).withContext(
                 format("serving model '%s'", model.c_str()));
         }
         complete(std::move(pending), std::move(response));

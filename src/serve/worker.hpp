@@ -49,8 +49,8 @@ class EngineWorker
      *                 worker)
      * @param brownout optional brownout controller (not owned; must
      *                 outlive the worker).  Its current rung's quality
-     *                 levers are applied to every exact-path dispatch
-     *                 after the per-request override merge.
+     *                 levers are applied to every dispatch after
+     *                 the per-request override merge.
      */
     EngineWorker(std::size_t index, const ModelRegistry *registry,
                  const BrownoutController *brownout = nullptr);
@@ -75,15 +75,6 @@ class EngineWorker
 
     /** @return the worker id. */
     std::size_t index() const { return index_; }
-
-    /**
-     * Merge @p pending's overrides into @p engine's default McOptions
-     * at dispatch time @p now (remaining-deadline conversion included).
-     * Exposed for tests.
-     */
-    static McOptions effectiveOptions(const FastBcnnEngine &engine,
-                                      const PendingRequest &pending,
-                                      ServeClock::time_point now);
 
   private:
     std::size_t index_;

@@ -37,14 +37,17 @@ predictUnaffectedKernel(const BitVolume &zero_map,
 } // namespace
 
 ZeroMaps
-computeZeroMaps(const BcnnTopology &topo, const Tensor &input)
+computeZeroMaps(const BcnnTopology &topo, const Tensor &input,
+                Tensor *pre_output)
 {
     // Capture every ReLU output of the non-dropout pre-inference.
     CaptureHooks capture(nullptr,
                          [](const std::string &, LayerKind k) {
                              return k == LayerKind::ReLU;
                          });
-    topo.network().forward(input, &capture);
+    Tensor output = topo.network().forward(input, &capture);
+    if (pre_output != nullptr)
+        *pre_output = std::move(output);
 
     ZeroMaps maps;
     for (const ConvBlock &b : topo.blocks()) {

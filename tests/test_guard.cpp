@@ -8,18 +8,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <random>
 
 #include "bayes/hooks.hpp"
 #include "common/math_util.hpp"
 #include "core/engine.hpp"
 #include "data/synthetic.hpp"
-#include "guard/guarded_runner.hpp"
+#include "guard/guarded_mc.hpp"
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dropout.hpp"
 #include "nn/pooling.hpp"
+#include "simd/simd.hpp"
 
 using namespace fastbcnn;
 
@@ -327,12 +330,12 @@ TEST(GuardedRunner, RejectsBadOptionsAndShape)
 
     GuardedMcOptions bad;
     bad.samples = 0;
-    Expected<GuardedMcResult> r1 = tryRunGuardedPredictive(
+    Expected<GuardedMcResult> r1 = tryRunGuardedMc(
         topo, indicators, guard, randomInput(1), bad);
     ASSERT_FALSE(r1.hasValue());
     EXPECT_EQ(r1.error().code(), ErrorCode::InvalidArgument);
 
-    Expected<GuardedMcResult> r2 = tryRunGuardedPredictive(
+    Expected<GuardedMcResult> r2 = tryRunGuardedMc(
         topo, indicators, guard, Tensor(Shape({1, 4, 4})), {});
     ASSERT_FALSE(r2.hasValue());
     EXPECT_EQ(r2.error().code(), ErrorCode::InvalidArgument);
@@ -362,7 +365,7 @@ TEST(GuardedRunner, DriftRecoveryRegression)
     mc.threads = 1;
 
     SkipGuard guard1(topo, stale, gopts);
-    Expected<GuardedMcResult> run1 = tryRunGuardedPredictive(
+    Expected<GuardedMcResult> run1 = tryRunGuardedMc(
         topo, indicators, guard1, input, mc);
     ASSERT_TRUE(run1.hasValue()) << run1.error().toString();
     const GuardedMcResult &r1 = run1.value();
@@ -420,7 +423,7 @@ TEST(GuardedRunner, DriftRecoveryRegression)
     SkipGuard guard4(topo, stale, gopts);
     GuardedMcOptions mc4 = mc;
     mc4.threads = 4;
-    Expected<GuardedMcResult> run4 = tryRunGuardedPredictive(
+    Expected<GuardedMcResult> run4 = tryRunGuardedMc(
         topo, indicators, guard4, input, mc4);
     ASSERT_TRUE(run4.hasValue()) << run4.error().toString();
     const GuardedMcResult &r4 = run4.value();
@@ -475,12 +478,319 @@ TEST(GuardedRunner, CleanWorkloadStaysQuiet)
     GuardedMcOptions mc;
     mc.samples = 32;
     mc.seed = 3;
-    Expected<GuardedMcResult> run = tryRunGuardedPredictive(
+    Expected<GuardedMcResult> run = tryRunGuardedMc(
         topo, indicators, guard, dataset[0], mc);
     ASSERT_TRUE(run.hasValue()) << run.error().toString();
     EXPECT_TRUE(run.value().events.empty());
     EXPECT_EQ(run.value().finalSnapshot.degradedKernels, 0u);
     EXPECT_GT(run.value().audited, 0u);
+}
+
+namespace {
+
+/**
+ * The serial oracle of a guarded run — the dedicated sample loop the
+ * MC runner replaced: per block of decisionInterval samples, snapshot
+ * the thresholds, draw each sample's masks with sampleMasks(), run
+ * predictiveForward, audit, then fold the block's audits in ascending
+ * sample order.
+ */
+GuardedMcResult
+serialGuardedReference(const BcnnTopology &topo,
+                       const IndicatorSet &indicators, SkipGuard &guard,
+                       const Tensor &input, const McOptions &mc)
+{
+    const Network &net = topo.network();
+    const AuditOptions &audit = guard.options().audit;
+    const std::size_t interval = guard.options().decisionInterval;
+    const std::size_t eventsBefore = guard.eventCount();
+    GuardedMcResult ref;
+    ref.preOutput = net.forward(input, nullptr);
+    const ZeroMaps zeroMaps = computeZeroMaps(topo, input);
+    for (std::size_t lo = 0; lo < mc.samples; lo += interval) {
+        const std::size_t hi = std::min(mc.samples, lo + interval);
+        const ThresholdSet thresholds = guard.effectiveThresholds();
+        std::vector<SampleAudit> audits;
+        for (std::size_t t = lo; t < hi; ++t) {
+            auto brng = makeBrng(mc.brng, mc.dropRate,
+                                 sampleSeed(mc.seed, t));
+            const MaskSet masks = sampleMasks(net, *brng);
+            PredictiveOptions popts;
+            popts.captureNodeOutputs = true;
+            PredictiveResult pres =
+                predictiveForward(topo, indicators, zeroMaps,
+                                  thresholds, input, masks, popts);
+            audits.push_back(auditPredictedNeurons(
+                topo, input, pres.nodeOutputs, pres.predicted, audit,
+                t));
+            ref.predictedNeurons += pres.predictedNeurons;
+            ref.outputs.push_back(std::move(pres.output));
+        }
+        for (const SampleAudit &a : audits) {
+            ref.audited += a.audited();
+            ref.mispredicted += a.mispredicted();
+            guard.onSampleAudit(a);
+        }
+    }
+    ref.summary = summarizeSamples(ref.outputs);
+    ref.events = guard.eventsSince(eventsBefore);
+    ref.finalSnapshot = guard.snapshot();
+    return ref;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.numel() * sizeof(float)) == 0;
+}
+
+/** Outputs [0, want.size()) and preOutput match bit for bit. */
+void
+expectSamplePrefix(const GuardedMcResult &want,
+                   const GuardedMcResult &got)
+{
+    EXPECT_TRUE(sameBits(want.preOutput, got.preOutput));
+    ASSERT_LE(want.outputs.size(), got.outputs.size());
+    for (std::size_t t = 0; t < want.outputs.size(); ++t)
+        EXPECT_TRUE(sameBits(want.outputs[t], got.outputs[t]))
+            << "sample " << t;
+}
+
+/** Whole-run bit-identity: samples, summary, tallies, events, alphas. */
+void
+expectSameGuardedRun(const GuardedMcResult &want, const SkipGuard &wantG,
+                     const GuardedMcResult &got, const SkipGuard &gotG)
+{
+    expectSamplePrefix(want, got);
+    EXPECT_EQ(want.outputs.size(), got.outputs.size());
+    EXPECT_TRUE(sameBits(want.summary.mean, got.summary.mean));
+    EXPECT_TRUE(sameBits(want.summary.variance, got.summary.variance));
+    EXPECT_EQ(want.predictedNeurons, got.predictedNeurons);
+    EXPECT_EQ(want.audited, got.audited);
+    EXPECT_EQ(want.mispredicted, got.mispredicted);
+    ASSERT_EQ(want.events.size(), got.events.size());
+    for (std::size_t e = 0; e < want.events.size(); ++e) {
+        EXPECT_EQ(want.events[e].sample, got.events[e].sample);
+        EXPECT_EQ(want.events[e].conv, got.events[e].conv);
+        EXPECT_EQ(want.events[e].kernel, got.events[e].kernel);
+        EXPECT_EQ(want.events[e].kind, got.events[e].kind);
+        EXPECT_EQ(want.events[e].fromAlpha, got.events[e].fromAlpha);
+        EXPECT_EQ(want.events[e].toAlpha, got.events[e].toAlpha);
+    }
+    EXPECT_EQ(want.finalSnapshot.samplesSeen,
+              got.finalSnapshot.samplesSeen);
+    EXPECT_EQ(want.finalSnapshot.degradedKernels,
+              got.finalSnapshot.degradedKernels);
+    const ThresholdSet a = wantG.effectiveThresholds();
+    const ThresholdSet b = gotG.effectiveThresholds();
+    EXPECT_EQ(a.all(), b.all());
+}
+
+/** The drift setup: stale thresholds the guard must back off. */
+struct DriftCase {
+    Network net = tinyBcnn(5);
+    BcnnTopology topo{net};
+    IndicatorSet indicators{topo};
+    Tensor input = randomInput(21);
+    ThresholdSet stale{topo, 6};
+    GuardOptions gopts;
+
+    explicit DriftCase(std::size_t interval)
+    {
+        gopts = fastGuardOptions(0.02);
+        gopts.decisionInterval = interval;
+        gopts.minAudited = 32;
+        gopts.cooldownRounds = 2;
+    }
+};
+
+/** A one-spec fault plan killing @p samples. */
+FaultPlan
+killPlan(std::initializer_list<std::size_t> samples)
+{
+    FaultPlan plan;
+    for (std::size_t t : samples) {
+        FaultSpec kill;
+        kill.kind = FaultKind::SampleKill;
+        kill.sample = t;
+        plan.add(kill);
+    }
+    return plan;
+}
+
+} // namespace
+
+TEST(GuardedRunner, MatchesSerialReferenceAcrossThreadsAndSimd)
+{
+    DriftCase c(4);
+    McOptions mc;
+    mc.samples = 42;  // not a multiple of the interval: a short block
+    mc.seed = 9;
+    mc.recordMasks = false;
+
+    SkipGuard refGuard(c.topo, c.stale, c.gopts);
+    simd::setLevel(simd::SimdLevel::Scalar);
+    const GuardedMcResult ref =
+        serialGuardedReference(c.topo, c.indicators, refGuard, c.input,
+                               mc);
+    simd::setLevel(simd::detectedLevel());
+    ASSERT_FALSE(ref.events.empty()) << "the oracle should see drift";
+
+    for (int l = 0; l < simd::kSimdLevelCount; ++l) {
+        const auto level = static_cast<simd::SimdLevel>(l);
+        if (!simd::levelAvailable(level))
+            continue;
+        simd::setLevel(level);
+        for (const std::size_t threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(simd::simdLevelName(level)) +
+                         " x " + std::to_string(threads));
+            SkipGuard guard(c.topo, c.stale, c.gopts);
+            McOptions opts = mc;
+            opts.threads = threads;
+            Expected<GuardedMcResult> run = tryRunGuardedMc(
+                c.topo, c.indicators, guard, c.input, opts);
+            ASSERT_TRUE(run.hasValue()) << run.error().toString();
+            expectSameGuardedRun(ref, refGuard, run.value(), guard);
+            EXPECT_EQ(run.value().census.survived, mc.samples);
+            EXPECT_FALSE(run.value().degraded());
+        }
+        simd::setLevel(simd::detectedLevel());
+    }
+}
+
+TEST(GuardedRunner, SampleKillDegradesToSurvivors)
+{
+    DriftCase c(4);
+    c.gopts.tolerance = 0.99;  // no decisions: survivors stay comparable
+    McOptions mc;
+    mc.samples = 12;
+    mc.seed = 4;
+    mc.threads = 4;
+    const FaultPlan plan = killPlan({2, 7});
+    McOptions faulted = mc;
+    faulted.faults = &plan;
+
+    SkipGuard clean(c.topo, c.stale, c.gopts);
+    Expected<GuardedMcResult> full =
+        tryRunGuardedMc(c.topo, c.indicators, clean, c.input, mc);
+    ASSERT_TRUE(full.hasValue()) << full.error().toString();
+    SkipGuard guard(c.topo, c.stale, c.gopts);
+    Expected<GuardedMcResult> run =
+        tryRunGuardedMc(c.topo, c.indicators, guard, c.input, faulted);
+    ASSERT_TRUE(run.hasValue()) << run.error().toString();
+    const GuardedMcResult &r = run.value();
+
+    EXPECT_TRUE(r.degraded());
+    EXPECT_EQ(r.census.requested, 12u);
+    EXPECT_EQ(r.census.survived, 10u);
+    ASSERT_EQ(r.census.failures.size(), 2u);
+    EXPECT_EQ(r.census.failures[0].sample, 2u);
+    EXPECT_EQ(r.census.failures[1].sample, 7u);
+    EXPECT_EQ(r.census.failures[0].code, ErrorCode::FaultInjected);
+    ASSERT_EQ(r.outputs.size(), 10u);
+    ASSERT_EQ(r.sampleIndices.size(), 10u);
+    for (std::size_t i = 0; i < r.outputs.size(); ++i) {
+        const std::size_t t = r.sampleIndices[i];
+        EXPECT_NE(t, 2u);
+        EXPECT_NE(t, 7u);
+        EXPECT_TRUE(sameBits(r.outputs[i], full.value().outputs[t]))
+            << "survivor " << t;
+    }
+    // Only survivors' audits reach the guard and the tallies.
+    EXPECT_EQ(r.finalSnapshot.samplesSeen, 10u);
+    EXPECT_LT(r.audited, full.value().audited);
+    EXPECT_LT(r.predictedNeurons, full.value().predictedNeurons);
+}
+
+TEST(GuardedRunner, UnmetQuorumFails)
+{
+    DriftCase c(4);
+    McOptions mc;
+    mc.samples = 8;
+    mc.quorum = 7;
+    const FaultPlan plan = killPlan({1, 5});
+    mc.faults = &plan;
+    SkipGuard guard(c.topo, c.stale, c.gopts);
+    Expected<GuardedMcResult> run =
+        tryRunGuardedMc(c.topo, c.indicators, guard, c.input, mc);
+    ASSERT_FALSE(run.hasValue());
+    EXPECT_EQ(run.error().code(), ErrorCode::QuorumNotMet);
+}
+
+TEST(GuardedRunner, RejectsInt8)
+{
+    DriftCase c(4);
+    McOptions mc;
+    mc.samples = 4;
+    mc.precision = Precision::Int8;
+    SkipGuard guard(c.topo, c.stale, c.gopts);
+    Expected<GuardedMcResult> run =
+        tryRunGuardedMc(c.topo, c.indicators, guard, c.input, mc);
+    ASSERT_FALSE(run.hasValue());
+    EXPECT_EQ(run.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_EQ(guard.snapshot().samplesSeen, 0u);
+}
+
+TEST(GuardedRunner, AdaptiveExitIsPrefixOfFixedRun)
+{
+    // Blocks of 3 against checkpoints 5, 9, 13, ...: most checkpoints
+    // fall inside a block.  Every guard first folds two samples, so
+    // its decisions fire on each block's first fold (t = 0, 3, 6, ...):
+    // a threshold snapshot anywhere but a block start would let the
+    // samples after a checkpoint see them a block early.
+    DriftCase c(3);
+    McOptions mc;
+    mc.samples = 48;
+    mc.seed = 11;
+    mc.minSamples = 5;
+    mc.recordMasks = false;
+    const auto warmGuard = [&c]() {
+        auto guard = std::make_unique<SkipGuard>(c.topo, c.stale, c.gopts);
+        McOptions two;
+        two.samples = 2;
+        EXPECT_TRUE(tryRunGuardedMc(c.topo, c.indicators, *guard,
+                                    c.input, two)
+                        .hasValue());
+        return guard;
+    };
+
+    const auto fixedGuard = warmGuard();
+    Expected<GuardedMcResult> fixed = tryRunGuardedMc(
+        c.topo, c.indicators, *fixedGuard, c.input, mc);
+    ASSERT_TRUE(fixed.hasValue()) << fixed.error().toString();
+    ASSERT_FALSE(fixed.value().events.empty());
+
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        // A target no run can meet: every checkpoint cuts a block,
+        // none stops the run, and the run equals the fixed-T one.
+        McOptions never = mc;
+        never.threads = threads;
+        never.targetCiWidth = 1e-12;
+        const auto neverGuard = warmGuard();
+        Expected<GuardedMcResult> cut = tryRunGuardedMc(
+            c.topo, c.indicators, *neverGuard, c.input, never);
+        ASSERT_TRUE(cut.hasValue()) << cut.error().toString();
+        EXPECT_FALSE(cut.value().census.converged);
+        expectSameGuardedRun(fixed.value(), *fixedGuard, cut.value(),
+                             *neverGuard);
+
+        // A target every run meets: stop at the first checkpoint,
+        // mid-block, with exactly the fixed run's first five samples.
+        McOptions early = never;
+        early.targetCiWidth = 1e9;
+        const auto earlyGuard = warmGuard();
+        Expected<GuardedMcResult> stop = tryRunGuardedMc(
+            c.topo, c.indicators, *earlyGuard, c.input, early);
+        ASSERT_TRUE(stop.hasValue()) << stop.error().toString();
+        EXPECT_TRUE(stop.value().census.converged);
+        EXPECT_EQ(stop.value().census.convergedAt, 5u);
+        ASSERT_EQ(stop.value().outputs.size(), 5u);
+        expectSamplePrefix(stop.value(), fixed.value());
+        EXPECT_EQ(earlyGuard->snapshot().samplesSeen, 7u);
+    }
 }
 
 TEST(Engine, GuardWiringAndToleranceDerivation)

@@ -132,19 +132,6 @@ mustQuantize(const Network &net)
     return std::move(qnet).value();
 }
 
-ForwardTarget
-targetOf(const quant::QuantizedNetwork &qnet, const Network &net)
-{
-    ForwardTarget target;
-    const quant::QuantizedNetwork *q = &qnet;
-    target.forward = [q](const Tensor &in, ForwardHooks *hooks) {
-        return q->forward(in, hooks);
-    };
-    target.name = net.name() + "-int8";
-    target.inputShape = net.inputShape();
-    return target;
-}
-
 bool
 sameBytes(const Tensor &a, const Tensor &b)
 {
@@ -427,7 +414,7 @@ TEST(QuantDispatch, FidelityStaysInToleranceOnTinyModel)
     Expected<McResult> ref = tryRunMcDropout(net, input, mc);
     ASSERT_TRUE(ref.hasValue());
     Expected<McResult> got =
-        tryRunMcDropoutWith(targetOf(qnet, net), input, mc);
+        tryRunMcDropoutWith(quant::int8Target(qnet), input, mc);
     ASSERT_TRUE(got.hasValue());
 
     const quant::MomentFidelity fid = quant::compareSummaries(
@@ -704,13 +691,13 @@ TEST(QuantDispatchConcurrency, McResultInvariantAcrossThreadCounts)
     mc.recordMasks = false;
 
     Expected<McResult> serial =
-        tryRunMcDropoutWith(targetOf(qnet, net), input, mc);
+        tryRunMcDropoutWith(quant::int8Target(qnet), input, mc);
     ASSERT_TRUE(serial.hasValue());
     for (std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
         McOptions pmc = mc;
         pmc.threads = threads;
         Expected<McResult> parallel =
-            tryRunMcDropoutWith(targetOf(qnet, net), input, pmc);
+            tryRunMcDropoutWith(quant::int8Target(qnet), input, pmc);
         ASSERT_TRUE(parallel.hasValue());
         ASSERT_EQ(parallel.value().outputs.size(),
                   serial.value().outputs.size());

@@ -1600,6 +1600,78 @@ TEST(Brownout, BrownedOutResponseIsOkNotBreakerFailure)
     EXPECT_EQ(srv.stats().counter("failed"), 0u);
 }
 
+TEST(Brownout, BudgetClampClampsGuardedRequest)
+{
+    // Guarded requests run on the same MC runner, so the ladder's
+    // budget clamp reaches them like any exact request.
+    ServerOptions sopts;
+    sopts.workers = 1;
+    sopts.brownout = testBrownout();
+    sopts.brownout.tickIntervalMs = 10000.0;  // ticks stay out of the way
+    auto server = InferenceServer::create(
+        {namedSpec("guarded",
+                   []() { return makeGuardedReplica(0.9); })},
+        sopts);
+    ASSERT_TRUE(server.hasValue()) << server.error().toString();
+    InferenceServer &srv = *server.value();
+    srv.brownout().forceLevel(BrownoutLevel::BudgetClamp);
+
+    InferRequest req;
+    req.modelId = "guarded";
+    req.input = ones(Shape({1, 6, 6}));
+    req.priority = Priority::Standard;
+    req.useGuardedSkip = true;
+    Expected<RequestHandle> handle = srv.submit(req);
+    ASSERT_TRUE(handle.hasValue());
+    InferResponse resp = handle.value().response.get();
+
+    ASSERT_EQ(resp.outcome, Outcome::Ok) << resp.error.toString();
+    EXPECT_EQ(resp.brownoutLevel, BrownoutLevel::BudgetClamp);
+    ASSERT_TRUE(resp.guarded.has_value());
+    EXPECT_FALSE(resp.result.has_value());
+    // T = 4 defaults: Standard gets ceil(0.5 * 4) = 2 samples.
+    EXPECT_EQ(resp.guarded->census.requested, 4u);
+    EXPECT_EQ(resp.guarded->census.budget, 2u);
+    EXPECT_EQ(resp.effectiveSamples, resp.guarded->census.survived);
+    EXPECT_GE(resp.effectiveSamples, 1u);
+    EXPECT_LE(resp.effectiveSamples, 2u);
+    EXPECT_EQ(resp.guarded->outputs.size(), resp.effectiveSamples);
+    srv.drain();
+}
+
+TEST(ServeServer, GuardedInt8RequestRejectedAtAdmission)
+{
+    auto server = InferenceServer::create(
+        {namedSpec("guarded",
+                   []() { return makeGuardedReplica(0.9); })},
+        ServerOptions{});
+    ASSERT_TRUE(server.hasValue()) << server.error().toString();
+    InferenceServer &srv = *server.value();
+
+    InferRequest req;
+    req.modelId = "guarded";
+    req.input = ones(Shape({1, 6, 6}));
+    req.useGuardedSkip = true;
+    req.mc.precision = Precision::Int8;
+    auto rejected = srv.submit(req);
+    ASSERT_FALSE(rejected.hasValue());
+    EXPECT_EQ(rejected.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(rejected.error().message().find("useGuardedSkip"),
+              std::string::npos)
+        << rejected.error().toString();
+    EXPECT_EQ(srv.stats().counter("rejected_invalid"), 1u);
+
+    // The same request on f32 is served, with its census.
+    req.mc.precision = Precision::Float32;
+    auto served = srv.submit(req);
+    ASSERT_TRUE(served.hasValue());
+    InferResponse resp = served.value().response.get();
+    ASSERT_EQ(resp.outcome, Outcome::Ok) << resp.error.toString();
+    EXPECT_EQ(resp.precision, Precision::Float32);
+    EXPECT_EQ(resp.effectiveSamples, 4u);
+    srv.drain();
+}
+
 TEST(Brownout, ShedRungDropsBackgroundKeepsPayingClasses)
 {
     ServerOptions sopts;

@@ -199,15 +199,8 @@ main(int argc, char **argv)
                   << res_f.error().toString() << "\n";
         return 1;
     }
-    ForwardTarget target;
-    const quant::QuantizedNetwork *q = &qnet;
-    target.forward = [q](const Tensor &in, ForwardHooks *hooks) {
-        return q->forward(in, hooks);
-    };
-    target.name = net.name() + "-int8";
-    target.inputShape = net.inputShape();
     Expected<McResult> res_q =
-        tryRunMcDropoutWith(target, input, mc);
+        tryRunMcDropoutWith(quant::int8Target(qnet), input, mc);
     if (!res_q.hasValue()) {
         std::cerr << "fastbcnn_quantcheck: int8 MC: "
                   << res_q.error().toString() << "\n";
