@@ -80,7 +80,7 @@ main()
     oopts.confidence = 0.68;
     const Tensor tune = makeMnistLikeImage(3, 7);
     const ThresholdSet calibrated =
-        optimizeThresholds(topo, ind, {tune}, oopts).thresholds;
+        tryOptimizeThresholds(topo, ind, {tune}, oopts).value().thresholds;
 
     GuardedMcOptions mc;
     mc.samples = fast ? 10 : 20;

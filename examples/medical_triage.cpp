@@ -54,8 +54,20 @@ main()
 
     EngineOptions eopts;
     eopts.mc.samples = 40;
-    FastBcnnEngine engine(std::move(net), eopts);
-    engine.calibrate({makeMnistLikeImage(2, 13)});
+    Expected<std::unique_ptr<FastBcnnEngine>> created =
+        FastBcnnEngine::create(std::move(net), eopts);
+    if (!created.hasValue()) {
+        std::cerr << "engine setup failed: "
+                  << created.error().toString() << "\n";
+        return 1;
+    }
+    FastBcnnEngine &engine = *created.value();
+    if (const Status status =
+            engine.tryCalibrate({makeMnistLikeImage(2, 13)});
+        !status.isOk()) {
+        std::cerr << "calibration failed: " << status.toString() << "\n";
+        return 1;
+    }
 
     constexpr std::size_t cases = 24;
     struct Case {
@@ -74,12 +86,19 @@ main()
         const Tensor presented =
             i % 2 == 1 ? degrade(clean, 0.45, 200 + i) : clean;
 
-        EngineResult ref = engine.infer(clean);
-        EngineResult res = engine.infer(presented);
-        cycles_fb += res.fastBcnn.cyclesPerSample;
-        cycles_base += res.baseline.cyclesPerSample;
-        triage.push_back(Case{i, ref.prediction.argmax,
-                              std::move(res)});
+        Expected<EngineResult> ref = engine.tryInfer(clean);
+        Expected<EngineResult> res = engine.tryInfer(presented);
+        for (const Expected<EngineResult> *r : {&ref, &res}) {
+            if (!r->hasValue()) {
+                std::cerr << "inference failed: "
+                          << r->error().toString() << "\n";
+                return 1;
+            }
+        }
+        cycles_fb += res.value().fastBcnn.cyclesPerSample;
+        cycles_base += res.value().baseline.cyclesPerSample;
+        triage.push_back(Case{i, ref.value().prediction.argmax,
+                              std::move(res).value()});
     }
 
     // Refer the top-q most-uncertain cases by predictive entropy (the

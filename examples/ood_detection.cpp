@@ -13,6 +13,7 @@
  */
 
 #include <algorithm>
+#include <functional>
 #include <iostream>
 #include <random>
 
@@ -70,41 +71,59 @@ main()
 
     EngineOptions eopts;
     eopts.mc.samples = 40;
-    FastBcnnEngine engine(std::move(net), eopts);
-    engine.calibrate({makeMnistLikeImage(3, 33)});
+    Expected<std::unique_ptr<FastBcnnEngine>> created =
+        FastBcnnEngine::create(std::move(net), eopts);
+    if (!created.hasValue()) {
+        std::cerr << "engine setup failed: "
+                  << created.error().toString() << "\n";
+        return 1;
+    }
+    FastBcnnEngine &engine = *created.value();
+    if (const Status status =
+            engine.tryCalibrate({makeMnistLikeImage(3, 33)});
+        !status.isOk()) {
+        std::cerr << "calibration failed: " << status.toString() << "\n";
+        return 1;
+    }
 
-    constexpr std::size_t per_group = 8;
-    auto evaluate = [&](const char *group,
-                        const std::function<Tensor(std::size_t)> &gen,
-                        Table &table) {
-        Stats s;
-        for (std::size_t i = 0; i < per_group; ++i) {
-            const EngineResult r = engine.infer(gen(i));
-            s.meanEntropy += r.prediction.predictiveEntropy /
-                             per_group;
-            s.meanMi += r.prediction.mutualInformation / per_group;
-        }
-        table.addRow({group, format("%.3f", s.meanEntropy),
-                      format("%.4f", s.meanMi)});
-        return s;
+    struct Population {
+        const char *name;
+        std::function<Tensor(std::size_t)> gen;
     };
-
+    const Population populations[] = {
+        {"in-distribution strokes",
+         [](std::size_t i) { return makeMnistLikeImage(i % 10, 400 + i); }},
+        {"OOD textures",
+         [](std::size_t i) { return textureAsDigitFrame(i, 500 + i); }},
+        {"OOD uniform noise",
+         [](std::size_t i) { return noiseFrame(600 + i); }},
+    };
+    constexpr std::size_t per_group = 8;
     Table t({"input population", "predictive entropy (nats)",
              "mutual information"});
-    const Stats in_dist = evaluate(
-        "in-distribution strokes",
-        [](std::size_t i) {
-            return makeMnistLikeImage(i % 10, 400 + i);
-        },
-        t);
-    const Stats textures = evaluate(
-        "OOD textures",
-        [](std::size_t i) { return textureAsDigitFrame(i, 500 + i); },
-        t);
-    const Stats noise = evaluate(
-        "OOD uniform noise",
-        [](std::size_t i) { return noiseFrame(600 + i); }, t);
+    std::vector<Stats> stats;
+    for (const Population &pop : populations) {
+        Stats s;
+        for (std::size_t i = 0; i < per_group; ++i) {
+            const Expected<EngineResult> r = engine.tryInfer(pop.gen(i));
+            if (!r.hasValue()) {
+                std::cerr << "inference failed: "
+                          << r.error().toString() << "\n";
+                return 1;
+            }
+            s.meanEntropy += r.value().prediction.predictiveEntropy /
+                             per_group;
+            s.meanMi += r.value().prediction.mutualInformation /
+                        per_group;
+        }
+        t.addRow({pop.name, format("%.3f", s.meanEntropy),
+                  format("%.4f", s.meanMi)});
+        stats.push_back(s);
+    }
     t.print(std::cout);
+    const Stats &in_dist = stats[0];
+    const Stats &textures = stats[1];
+    const Stats &noise = stats[2];
 
     std::cout << format("\nepistemic gap vs in-distribution MI: "
                         "textures %.2fx, noise %.2fx\n",

@@ -212,14 +212,21 @@ main(int argc, char **argv)
     eopts.mc.targetCiWidth = cli.targetCiWidth;
     eopts.mc.minSamples = cli.minSamples;
     eopts.mc.sampleBudget = cli.sampleBudget;
-    // int8 makes calibrate() also build the quantized mirror.
+    // int8 makes tryCalibrate() also build the quantized mirror.
     eopts.mc.precision = cli.precision;
     eopts.optimizer.confidence = 0.68;
     if (cli.auditRate > 0.0) {
         eopts.guard.enabled = true;
         eopts.guard.audit.rate = cli.auditRate;
     }
-    FastBcnnEngine engine(std::move(net), eopts);
+    Expected<std::unique_ptr<FastBcnnEngine>> created =
+        FastBcnnEngine::create(std::move(net), eopts);
+    if (!created.hasValue()) {
+        std::cerr << "engine setup failed: "
+                  << created.error().toString() << "\n";
+        return 1;
+    }
+    FastBcnnEngine &engine = *created.value();
     std::cout << format("MC config: T = %zu, threads = %zu",
                         eopts.mc.samples, cli.threads);
     if (cli.deadlineMs > 0.0)
@@ -240,7 +247,11 @@ main(int argc, char **argv)
     std::vector<Tensor> calib_inputs;
     for (const Example &e : calib.examples)
         calib_inputs.push_back(e.image);
-    engine.calibrate(calib_inputs);
+    if (const Status status = engine.tryCalibrate(calib_inputs);
+        !status.isOk()) {
+        std::cerr << "calibration failed: " << status.toString() << "\n";
+        return 1;
+    }
     std::cout << "Calibrated " << engine.tuneReports().size()
               << " conv blocks (mean alpha per block:";
     for (const BlockTuneReport &r : engine.tuneReports())

@@ -412,15 +412,4 @@ tryRunMcDropoutWith(const ForwardTarget &target, const Tensor &input,
     return result;
 }
 
-McResult
-runMcDropout(const Network &net, const Tensor &input,
-             const McOptions &opts)
-{
-    Expected<McResult> result = tryRunMcDropout(net, input, opts);
-    if (!result)
-        fatal("MC dropout failed: %s",
-              result.error().toString().c_str());
-    return std::move(result).value();
-}
-
 } // namespace fastbcnn

@@ -244,14 +244,6 @@ std::unique_ptr<Brng> makeBrng(BrngKind kind, double drop_rate,
     const ForwardTarget &target, const Tensor &input,
     const McOptions &opts, McRunObserver *observer = nullptr);
 
-/**
- * Legacy convenience wrapper around tryRunMcDropout(): identical
- * behaviour, but a run-level Error is fatal().  Per-sample
- * degradation still only degrades.
- */
-McResult runMcDropout(const Network &net, const Tensor &input,
-                      const McOptions &opts);
-
 } // namespace fastbcnn
 
 #endif // FASTBCNN_BAYES_MC_RUNNER_HPP

@@ -17,9 +17,9 @@
  *
  * Policy (DESIGN.md, "Fault tolerance & error handling"): boundary
  * code returns Error; hot-path invariants stay FASTBCNN_DCHECK;
- * internal bugs stay panic().  Legacy void/value-returning wrappers
- * (loadWeights, runMcDropout, ...) remain and fatal() on error, so
- * CLI-style callers keep their old behaviour.
+ * internal bugs stay panic().  Each boundary operation has exactly
+ * one entry point, the error-returning one; a caller that cannot
+ * recover prints the Error itself.
  */
 
 #ifndef FASTBCNN_COMMON_ERROR_HPP

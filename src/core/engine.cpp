@@ -23,8 +23,6 @@ FastBcnnEngine::FastBcnnEngine(Network net, EngineOptions opts)
     : net_(std::move(net)), opts_(std::move(opts)), topo_(net_),
       indicators_(topo_)
 {
-    if (Status status = validateEngineOptions(opts_); !status.isOk())
-        fatal("%s", status.toString().c_str());
     // Keep the optimizer's sampling consistent with inference unless
     // the caller configured it explicitly.
     if (opts_.optimizer.dropRate != opts_.mc.dropRate)
@@ -41,45 +39,8 @@ FastBcnnEngine::create(Network net, EngineOptions opts)
                       "network '%s' has no layers",
                       net.name().c_str());
     }
-    // Options are valid, so the constructor cannot fatal() on them.
-    return std::make_unique<FastBcnnEngine>(std::move(net),
-                                            std::move(opts));
-}
-
-void
-FastBcnnEngine::calibrateThresholds(
-    const std::vector<Tensor> &calibration_inputs)
-{
-    OptimizeResult res = optimizeThresholds(topo_, indicators_,
-                                            calibration_inputs,
-                                            opts_.optimizer);
-    thresholds_ = std::move(res.thresholds);
-    tuneReports_ = std::move(res.reports);
-    if (opts_.guard.enabled) {
-        // Re-calibration replaces the guard: old backoff history was
-        // measured against the previous thresholds.
-        GuardOptions gopts = opts_.guard;
-        if (gopts.tolerance == 0.0) {
-            const double budget = 1.0 - opts_.optimizer.confidence;
-            // p_cf = 1 leaves no mispredict budget; fall back to a
-            // strict 1 % so the guard stays constructible.
-            gopts.tolerance = budget > 0.0 ? budget : 0.01;
-        }
-        guard_ = std::make_unique<SkipGuard>(topo_, *thresholds_,
-                                             gopts);
-    }
-}
-
-void
-FastBcnnEngine::calibrate(const std::vector<Tensor> &calibration_inputs)
-{
-    calibrateThresholds(calibration_inputs);
-    if (opts_.mc.precision == Precision::Int8) {
-        if (Status status = tryQuantize(calibration_inputs);
-            !status.isOk()) {
-            fatal("%s", status.toString().c_str());
-        }
-    }
+    return std::unique_ptr<FastBcnnEngine>(
+        new FastBcnnEngine(std::move(net), std::move(opts)));
 }
 
 Status
@@ -101,7 +62,25 @@ FastBcnnEngine::tryCalibrate(
                 net_.inputShape().toString().c_str());
         }
     }
-    calibrateThresholds(calibration_inputs);
+    Expected<OptimizeResult> res = tryOptimizeThresholds(
+        topo_, indicators_, calibration_inputs, opts_.optimizer);
+    if (!res.hasValue())
+        return std::move(res).takeError().withContext("calibrating");
+    thresholds_ = std::move(res.value().thresholds);
+    tuneReports_ = std::move(res.value().reports);
+    if (opts_.guard.enabled) {
+        // Re-calibration replaces the guard: old backoff history was
+        // measured against the previous thresholds.
+        GuardOptions gopts = opts_.guard;
+        if (gopts.tolerance == 0.0) {
+            const double budget = 1.0 - opts_.optimizer.confidence;
+            // p_cf = 1 leaves no mispredict budget; fall back to a
+            // strict 1 % so the guard stays constructible.
+            gopts.tolerance = budget > 0.0 ? budget : 0.01;
+        }
+        guard_ = std::make_unique<SkipGuard>(topo_, *thresholds_,
+                                             gopts);
+    }
     if (opts_.mc.precision == Precision::Int8)
         FASTBCNN_RETURN_IF_ERROR(tryQuantize(calibration_inputs));
     return Status::ok();
@@ -111,39 +90,51 @@ const ThresholdSet &
 FastBcnnEngine::thresholds() const
 {
     if (!thresholds_)
-        fatal("engine is not calibrated; call calibrate() first");
+        fatal("engine is not calibrated; call tryCalibrate() first");
     return *thresholds_;
 }
 
-TraceBundle
-FastBcnnEngine::trace(const Tensor &input,
-                      std::optional<TraceOptions> opts)
+Expected<TraceBundle>
+FastBcnnEngine::tryTrace(const Tensor &input) const
 {
-    if (!thresholds_) {
-        warn("engine not calibrated; self-calibrating on the inference "
-             "input (prefer an explicit calibration set)");
-        calibrate({input});
-    }
     TraceOptions topts;
-    if (opts) {
-        topts = *opts;
-    } else {
-        topts.samples = opts_.mc.samples;
-        topts.dropRate = opts_.mc.dropRate;
-        topts.brng = opts_.mc.brng;
-        topts.seed = opts_.mc.seed;
-        // Default traces run under the engine's guard (when enabled)
-        // so drift observed while tracing feeds the backoff policy;
-        // explicit TraceOptions choose their own guard (or none).
-        topts.guard = guard_.get();
-    }
-    return buildTrace(topo_, indicators_, *thresholds_, input, topts);
+    topts.samples = opts_.mc.samples;
+    topts.dropRate = opts_.mc.dropRate;
+    topts.brng = opts_.mc.brng;
+    topts.seed = opts_.mc.seed;
+    return tryTrace(input, topts);
 }
 
-EngineResult
-FastBcnnEngine::infer(const Tensor &input)
+Expected<TraceBundle>
+FastBcnnEngine::tryTrace(const Tensor &input,
+                         const TraceOptions &opts) const
 {
-    TraceBundle bundle = trace(input);
+    if (!(input.shape() == net_.inputShape())) {
+        return errorf(ErrorCode::InvalidArgument,
+                      "input shape %s does not match network '%s' "
+                      "input %s", input.shape().toString().c_str(),
+                      net_.name().c_str(),
+                      net_.inputShape().toString().c_str());
+    }
+    if (!calibrated()) {
+        return errorf(ErrorCode::InvalidArgument,
+                      "engine is not calibrated; call tryCalibrate() "
+                      "first");
+    }
+    if (opts.samples == 0) {
+        return errorf(ErrorCode::InvalidArgument,
+                      "trace needs at least one sample");
+    }
+    return buildTrace(topo_, indicators_, *thresholds_, input, opts);
+}
+
+Expected<EngineResult>
+FastBcnnEngine::tryInfer(const Tensor &input) const
+{
+    Expected<TraceBundle> traced = tryTrace(input);
+    if (!traced.hasValue())
+        return std::move(traced).takeError();
+    const TraceBundle &bundle = traced.value();
 
     EngineResult result;
     result.prediction = bundle.functional.fbSummary;
@@ -159,24 +150,6 @@ FastBcnnEngine::infer(const Tensor &input)
     result.energyReduction =
         result.fastBcnn.energyReductionOver(result.baseline);
     return result;
-}
-
-Expected<EngineResult>
-FastBcnnEngine::tryInfer(const Tensor &input)
-{
-    if (!(input.shape() == net_.inputShape())) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "input shape %s does not match network '%s' "
-                      "input %s", input.shape().toString().c_str(),
-                      net_.name().c_str(),
-                      net_.inputShape().toString().c_str());
-    }
-    if (!calibrated()) {
-        return errorf(ErrorCode::InvalidArgument,
-                      "engine is not calibrated; call tryCalibrate() "
-                      "before tryInfer()");
-    }
-    return infer(input);
 }
 
 Status

@@ -34,7 +34,7 @@ struct EngineOptions {
     SimOptions sim;
     /**
      * Runtime skip guardrails (off by default).  When enabled,
-     * calibrate() constructs a SkipGuard over the tuned thresholds; a
+     * tryCalibrate() constructs a SkipGuard over the tuned thresholds; a
      * tolerance of 0 resolves to 1 − p_cf, the mispredict budget the
      * thresholds were calibrated against.
      */
@@ -71,41 +71,31 @@ struct EngineResult {
 /**
  * The Fast-BCNN execution engine.
  *
- * Non-copyable and non-movable: internal analyses hold pointers into
- * the owned network.
+ * Built only by create().  Non-copyable and non-movable: internal
+ * analyses hold pointers into the owned network.
  */
 class FastBcnnEngine
 {
   public:
-    /**
-     * @param net  a BCNN (dropout after every conv); ownership moves in
-     * @param opts engine configuration (must validate; see create()
-     *             for the error-returning construction path)
-     */
-    explicit FastBcnnEngine(Network net, EngineOptions opts = {});
-
     FastBcnnEngine(const FastBcnnEngine &) = delete;
     FastBcnnEngine &operator=(const FastBcnnEngine &) = delete;
 
     /**
-     * Error-returning construction: validates @p opts (and that the
-     * network is non-trivial) before building, so a serving process
-     * can reject a bad configuration instead of dying in the
-     * constructor.
+     * Validate @p opts (and that the network is non-trivial), then
+     * build the engine, so a serving process can reject a bad
+     * configuration instead of dying.
+     *
+     * @param net  a BCNN (dropout after every conv); ownership moves in
+     * @param opts engine configuration
      */
     [[nodiscard]] static Expected<std::unique_ptr<FastBcnnEngine>> create(
         Network net, EngineOptions opts = {});
 
     /**
-     * Offline stage: run Algorithm 1 on a calibration set.  Must be
-     * called once before infer(); calling infer() first triggers an
-     * automatic single-input self-calibration with a warning.
-     */
-    void calibrate(const std::vector<Tensor> &calibration_inputs);
-
-    /**
-     * Error-returning calibrate(): rejects an empty set or inputs of
-     * the wrong shape instead of terminating.
+     * Offline stage: run Algorithm 1 on a calibration set (and build
+     * the int8 mirror when EngineOptions::mc.precision is Int8).  Must
+     * succeed once before tryInfer() / tryTrace() / tryGuardedMc();
+     * rejects an empty set or inputs of the wrong shape.
      */
     [[nodiscard]] Status tryCalibrate(
         const std::vector<Tensor> &calibration_inputs);
@@ -116,7 +106,7 @@ class FastBcnnEngine
     /**
      * Build the engine's int8 mirror: calibrate per-layer activation
      * ranges on @p calibration_inputs and quantize the owned network
-     * (src/quant).  Called automatically by calibrate() when
+     * (src/quant).  Called automatically by tryCalibrate() when
      * EngineOptions::mc.precision is Int8; callable directly to add
      * int8 capability to a float-default engine.  On error the engine
      * keeps its previous quantized model (if any).
@@ -142,15 +132,13 @@ class FastBcnnEngine
         return quantNet_.get();
     }
 
-    /** Run the full pipeline on one input. */
-    EngineResult infer(const Tensor &input);
-
     /**
-     * Error-returning infer(): rejects a wrong-shape input and an
-     * uncalibrated engine (no silent self-calibration) instead of
-     * warning / terminating.
+     * Run the full pipeline on one input: the default tryTrace(), the
+     * functional summaries, and the timing / energy simulation of the
+     * configured design against the baseline.  Errors as tryTrace().
      */
-    [[nodiscard]] Expected<EngineResult> tryInfer(const Tensor &input);
+    [[nodiscard]] Expected<EngineResult> tryInfer(
+        const Tensor &input) const;
 
     /**
      * Fault-isolating exact MC-dropout reference on the owned
@@ -215,14 +203,22 @@ class FastBcnnEngine
     const SkipGuard *guard() const { return guard_.get(); }
 
     /**
-     * Build (and return) the raw trace bundle of one input — the
-     * benches use this to evaluate many accelerator configurations on
-     * one captured workload.
+     * Build the raw trace bundle of one input under the calibrated
+     * thresholds, sampling with the engine's McOptions (T, p, BRNG,
+     * seed) — the benches use this to evaluate many accelerator
+     * configurations on one captured workload.
+     *
+     * @return the bundle, or InvalidArgument for a wrong-shape input,
+     * an uncalibrated engine or zero samples
      */
-    TraceBundle trace(const Tensor &input,
-                      std::optional<TraceOptions> opts = std::nullopt);
+    [[nodiscard]] Expected<TraceBundle> tryTrace(
+        const Tensor &input) const;
 
-    /** @return the per-kernel thresholds (fatal before calibrate()). */
+    /** tryTrace() with caller-supplied sampling options. */
+    [[nodiscard]] Expected<TraceBundle> tryTrace(
+        const Tensor &input, const TraceOptions &opts) const;
+
+    /** @return the per-kernel thresholds (fatal before tryCalibrate()). */
     const ThresholdSet &thresholds() const;
 
     /** @return the analysed topology. */
@@ -241,9 +237,7 @@ class FastBcnnEngine
     }
 
   private:
-    /** Algorithm 1 + guard construction (shared calibration body). */
-    void calibrateThresholds(
-        const std::vector<Tensor> &calibration_inputs);
+    FastBcnnEngine(Network net, EngineOptions opts);
 
     Network net_;
     EngineOptions opts_;
@@ -251,7 +245,7 @@ class FastBcnnEngine
     IndicatorSet indicators_;
     std::optional<ThresholdSet> thresholds_;
     std::vector<BlockTuneReport> tuneReports_;
-    /** Constructed by calibrate() when EngineOptions::guard.enabled. */
+    /** Constructed by tryCalibrate() when EngineOptions::guard.enabled. */
     std::unique_ptr<SkipGuard> guard_;
     /** Int8 mirror; built by tryQuantize() / tryAdoptQuantRecords(). */
     std::unique_ptr<quant::QuantizedNetwork> quantNet_;

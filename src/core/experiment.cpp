@@ -6,6 +6,17 @@
 
 namespace fastbcnn {
 
+namespace {
+
+/** Workload configs come from the benches, so a setup error is fatal. */
+[[noreturn]] void
+workloadFailed(const Error &error)
+{
+    fatal("workload: %s", error.toString().c_str());
+}
+
+} // namespace
+
 AggregateMetrics
 aggregate(const std::vector<SimReport> &reports)
 {
@@ -73,7 +84,11 @@ Workload::Workload(const WorkloadConfig &cfg) : cfg_(cfg)
     sopts.seed = cfg.seed + 17;
     calibrateSparsity(net, probes, sopts);
 
-    engine_ = std::make_unique<FastBcnnEngine>(std::move(net), eopts);
+    Expected<std::unique_ptr<FastBcnnEngine>> engine =
+        FastBcnnEngine::create(std::move(net), eopts);
+    if (!engine)
+        workloadFailed(engine.error());
+    engine_ = std::move(engine).value();
     const Dataset calib = makeDataset(mnist_like, mopts.numClasses,
                                       cfg.calibrationInputs,
                                       cfg.seed + 1000);
@@ -81,7 +96,10 @@ Workload::Workload(const WorkloadConfig &cfg) : cfg_(cfg)
     calib_inputs.reserve(calib.examples.size());
     for (const Example &e : calib.examples)
         calib_inputs.push_back(e.image);
-    engine_->calibrate(calib_inputs);
+    if (Status status = engine_->tryCalibrate(calib_inputs);
+        !status.isOk()) {
+        workloadFailed(status);
+    }
 
     TraceOptions topts;
     topts.samples = cfg.samples;
@@ -92,8 +110,12 @@ Workload::Workload(const WorkloadConfig &cfg) : cfg_(cfg)
     const Dataset eval = makeDataset(mnist_like, mopts.numClasses,
                                      cfg.evalInputs, cfg.seed + 2000);
     bundles_.reserve(eval.examples.size());
-    for (const Example &e : eval.examples)
-        bundles_.push_back(engine_->trace(e.image, topts));
+    for (const Example &e : eval.examples) {
+        Expected<TraceBundle> bundle = engine_->tryTrace(e.image, topts);
+        if (!bundle)
+            workloadFailed(bundle.error());
+        bundles_.push_back(std::move(bundle).value());
+    }
 }
 
 std::vector<SimReport>

@@ -360,14 +360,6 @@ trySaveWeights(const Network &net, std::ostream &os)
     return tryEmitTextCheckpoint(checkpointImageOf(net), os);
 }
 
-void
-saveWeights(const Network &net, std::ostream &os)
-{
-    Status status = trySaveWeights(net, os);
-    if (!status.isOk())
-        fatal("%s", status.toString().c_str());
-}
-
 Status
 tryLoadWeights(Network &net, std::istream &is)
 {
@@ -378,14 +370,6 @@ tryLoadWeights(Network &net, std::istream &is)
         tryCommitCheckpointImage(net, image.value()));
     checkpointStats().add("text_loads");
     return Status::ok();
-}
-
-void
-loadWeights(Network &net, std::istream &is)
-{
-    Status status = tryLoadWeights(net, is);
-    if (!status.isOk())
-        fatal("%s", status.toString().c_str());
 }
 
 void

@@ -126,11 +126,8 @@ StatGroup &checkpointStats();
 [[nodiscard]] Status trySaveWeights(const Network &net,
                                     std::ostream &os);
 
-/** Legacy wrapper around trySaveWeights(); fatal() on error. */
-void saveWeights(const Network &net, std::ostream &os);
-
 /**
- * Load weights saved by saveWeights() into @p net.
+ * Load weights saved by trySaveWeights() into @p net.
  *
  * Layers are matched by name.  Every malformed input — wrong magic,
  * truncation, bit-corrupted values, unknown layer names, element
@@ -139,9 +136,6 @@ void saveWeights(const Network &net, std::ostream &os);
  * network's weights are left exactly as they were (staged commit).
  */
 [[nodiscard]] Status tryLoadWeights(Network &net, std::istream &is);
-
-/** Legacy wrapper around tryLoadWeights(); fatal() on error. */
-void loadWeights(Network &net, std::istream &is);
 
 /**
  * Print a per-layer summary table: name, kind, output shape and

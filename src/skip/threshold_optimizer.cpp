@@ -260,20 +260,6 @@ tryOptimizeThresholds(const BcnnTopology &topo,
     return result;
 }
 
-OptimizeResult
-optimizeThresholds(const BcnnTopology &topo,
-                   const IndicatorSet &indicators,
-                   const std::vector<Tensor> &dataset,
-                   const OptimizerOptions &opts)
-{
-    Expected<OptimizeResult> result =
-        tryOptimizeThresholds(topo, indicators, dataset, opts);
-    if (!result)
-        fatal("threshold optimization failed: %s",
-              result.error().toString().c_str());
-    return std::move(result).value();
-}
-
 std::map<NodeId, double>
 evaluatePrediction(const BcnnTopology &topo,
                    const IndicatorSet &indicators,

@@ -1,8 +1,5 @@
 #include "thresholds.hpp"
 
-#include <istream>
-#include <ostream>
-
 #include "common/check.hpp"
 
 namespace fastbcnn {
@@ -62,32 +59,6 @@ ThresholdSet::mean() const
         }
     }
     return n == 0 ? 0.0 : total / static_cast<double>(n);
-}
-
-void
-ThresholdSet::saveText(std::ostream &os) const
-{
-    for (const auto &[id, v] : byConv_) {
-        for (std::size_t m = 0; m < v.size(); ++m)
-            os << id << ' ' << m << ' ' << v[m] << '\n';
-    }
-}
-
-ThresholdSet
-ThresholdSet::loadText(std::istream &is)
-{
-    ThresholdSet set;
-    std::size_t id = 0, m = 0;
-    int alpha = 0;
-    while (is >> id >> m >> alpha) {
-        auto &v = set.byConv_[id];
-        if (v.size() <= m)
-            v.resize(m + 1, 0);
-        v[m] = alpha;
-    }
-    if (!is.eof() && is.fail())
-        fatal("malformed threshold file");
-    return set;
 }
 
 } // namespace fastbcnn

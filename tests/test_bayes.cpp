@@ -222,7 +222,7 @@ TEST(McRunner, ProducesRequestedSamples)
     McOptions opts;
     opts.samples = 5;
     opts.brng = BrngKind::Software;
-    McResult res = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     EXPECT_EQ(res.outputs.size(), 5u);
     EXPECT_EQ(res.masks.size(), 5u);
     EXPECT_FALSE(res.preOutput.empty());
@@ -234,7 +234,7 @@ TEST(McRunner, SamplesDifferUnderDropout)
     Network net = tinyBcnn(0.5);
     McOptions opts;
     opts.samples = 4;
-    McResult res = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     bool any_diff = false;
     for (std::size_t t = 1; t < res.outputs.size(); ++t)
         any_diff |= !res.outputs[t].allClose(res.outputs[0], 0.0f);
@@ -247,19 +247,23 @@ TEST(McRunner, DeterministicForSeed)
     McOptions opts;
     opts.samples = 3;
     opts.seed = 5;
-    McResult a = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
-    McResult b = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult a = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
+    McResult b = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     for (std::size_t t = 0; t < 3; ++t)
         EXPECT_TRUE(a.outputs[t].allClose(b.outputs[t], 0.0f));
 }
 
-TEST(McRunner, ZeroSamplesFatal)
+TEST(McRunner, ZeroSamplesIsInvalidArgument)
 {
     Network net = tinyBcnn();
     McOptions opts;
     opts.samples = 0;
-    EXPECT_DEATH(runMcDropout(net, ones(Shape({1, 6, 6})), opts),
-                 "at least one");
+    Expected<McResult> res =
+        tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    ASSERT_FALSE(res.hasValue());
+    EXPECT_EQ(res.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(res.error().message().find("at least one"),
+              std::string::npos);
 }
 
 TEST(McRunner, MaskRecordingOptional)
@@ -268,7 +272,7 @@ TEST(McRunner, MaskRecordingOptional)
     McOptions opts;
     opts.samples = 2;
     opts.recordMasks = false;
-    McResult res = runMcDropout(net, ones(Shape({1, 6, 6})), opts);
+    McResult res = tryRunMcDropout(net, ones(Shape({1, 6, 6})), opts).value();
     EXPECT_TRUE(res.masks.empty());
 }
 

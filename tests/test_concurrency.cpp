@@ -83,9 +83,9 @@ TEST(ParallelMc, BitIdenticalToSerial)
     opts.seed = 42;
 
     opts.threads = 1;
-    const McResult serial = runMcDropout(net, in, opts);
+    const McResult serial = tryRunMcDropout(net, in, opts).value();
     opts.threads = 4;
-    const McResult parallel = runMcDropout(net, in, opts);
+    const McResult parallel = tryRunMcDropout(net, in, opts).value();
 
     expectBitIdentical(serial, parallel);
 }
@@ -100,11 +100,11 @@ TEST(ParallelMc, ThreadCountSweepIsDeterministic)
     opts.brng = BrngKind::Software;
 
     opts.threads = 1;
-    const McResult reference = runMcDropout(net, in, opts);
+    const McResult reference = tryRunMcDropout(net, in, opts).value();
     for (std::size_t threads : {std::size_t{0}, std::size_t{2},
                                 std::size_t{3}, std::size_t{8}}) {
         opts.threads = threads;
-        expectBitIdentical(reference, runMcDropout(net, in, opts));
+        expectBitIdentical(reference, tryRunMcDropout(net, in, opts).value());
     }
 }
 
@@ -115,7 +115,7 @@ TEST(ParallelMc, MoreThreadsThanSamples)
     McOptions opts;
     opts.samples = 2;
     opts.threads = 16;
-    const McResult res = runMcDropout(net, in, opts);
+    const McResult res = tryRunMcDropout(net, in, opts).value();
     EXPECT_EQ(res.outputs.size(), 2u);
     EXPECT_EQ(res.masks.size(), 2u);
 }
@@ -207,7 +207,7 @@ TEST(ConcurrencyStress, IndependentRunsOnSharedNetwork)
     opts.samples = 4;
     opts.seed = 11;
 
-    const McResult reference = runMcDropout(net, in, opts);
+    const McResult reference = tryRunMcDropout(net, in, opts).value();
 
     // The Network is shared read-only across callers; every thread
     // must reproduce the reference bit-for-bit.
@@ -217,7 +217,7 @@ TEST(ConcurrencyStress, IndependentRunsOnSharedNetwork)
     pool.reserve(callers);
     for (std::size_t i = 0; i < callers; ++i) {
         pool.emplace_back([&, i]() {
-            results[i] = runMcDropout(net, in, opts);
+            results[i] = tryRunMcDropout(net, in, opts).value();
         });
     }
     for (std::thread &th : pool)
@@ -238,8 +238,8 @@ TEST(ConcurrencyStress, NestedParallelRunners)
     opts.recordMasks = false;
 
     McResult a, b;
-    std::thread ta([&]() { a = runMcDropout(net, in, opts); });
-    std::thread tb([&]() { b = runMcDropout(net, in, opts); });
+    std::thread ta([&]() { a = tryRunMcDropout(net, in, opts).value(); });
+    std::thread tb([&]() { b = tryRunMcDropout(net, in, opts).value(); });
     ta.join();
     tb.join();
     expectBitIdentical(a, b);

@@ -468,7 +468,7 @@ TEST(GuardedRunner, CleanWorkloadStaysQuiet)
     oopts.confidence = 0.68;
     oopts.samples = 4;
     const OptimizeResult tuned =
-        optimizeThresholds(topo, indicators, dataset, oopts);
+        tryOptimizeThresholds(topo, indicators, dataset, oopts).value();
 
     GuardOptions gopts = fastGuardOptions(0.6);
     gopts.decisionInterval = 8;
@@ -806,7 +806,9 @@ TEST(Engine, GuardWiringAndToleranceDerivation)
     eopts.optimizer.confidence = 0.68;
     eopts.guard.enabled = true;
     eopts.guard.audit.rate = 0.05;
-    FastBcnnEngine engine(std::move(net), eopts);
+    const std::unique_ptr<FastBcnnEngine> created =
+        FastBcnnEngine::create(std::move(net), eopts).value();
+    FastBcnnEngine &engine = *created;
 
     // Guard does not exist before calibration, and the guarded path
     // reports that as an error instead of aborting.
@@ -819,7 +821,7 @@ TEST(Engine, GuardWiringAndToleranceDerivation)
     std::vector<Tensor> inputs;
     for (const Example &e : calib.examples)
         inputs.push_back(e.image);
-    engine.calibrate(inputs);
+    ASSERT_TRUE(engine.tryCalibrate(inputs).isOk());
 
     ASSERT_NE(engine.guard(), nullptr);
     // tolerance 0 derives the calibrated budget 1 - p_cf.
@@ -839,12 +841,14 @@ TEST(Engine, GuardDisabledPathErrors)
     calibrateSparsity(net, {makeMnistLikeImage(0, 1)});
     EngineOptions eopts;
     eopts.optimizer.samples = 2;
-    FastBcnnEngine engine(std::move(net), eopts);
+    const std::unique_ptr<FastBcnnEngine> created =
+        FastBcnnEngine::create(std::move(net), eopts).value();
+    FastBcnnEngine &engine = *created;
     const Dataset calib = makeDataset(true, 2, 2, 7);
     std::vector<Tensor> inputs;
     for (const Example &e : calib.examples)
         inputs.push_back(e.image);
-    engine.calibrate(inputs);
+    ASSERT_TRUE(engine.tryCalibrate(inputs).isOk());
 
     EXPECT_EQ(engine.guard(), nullptr);
     Expected<GuardedMcResult> run =

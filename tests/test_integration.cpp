@@ -35,36 +35,70 @@ sharedWorkload()
     return workload;
 }
 
-} // namespace
-
-TEST(Engine, SelfCalibratesWithWarning)
+/** A small LeNet engine (width 0.5); create() must succeed. */
+std::unique_ptr<FastBcnnEngine>
+smallLenetEngine(const EngineOptions &opts)
 {
     ModelOptions mopts;
     mopts.widthMultiplier = 0.5;
+    return FastBcnnEngine::create(buildLenet5(mopts), opts).value();
+}
+
+} // namespace
+
+TEST(Engine, TryTraceReturnsErrors)
+{
     EngineOptions eopts;
     eopts.mc.samples = 2;
     eopts.optimizer.samples = 2;
-    FastBcnnEngine engine(buildLenet5(mopts), eopts);
-    EXPECT_FALSE(engine.calibrated());
-    EXPECT_DEATH((void)engine.thresholds(), "not calibrated");
-    engine.trace(makeMnistLikeImage(0, 1));
-    EXPECT_TRUE(engine.calibrated());
-    EXPECT_EQ(engine.tuneReports().size(),
-              engine.topology().blocks().size());
+    std::unique_ptr<FastBcnnEngine> engine = smallLenetEngine(eopts);
+    const Tensor input = makeMnistLikeImage(0, 1);
+    EXPECT_FALSE(engine->calibrated());
+    EXPECT_DEATH((void)engine->thresholds(), "not calibrated");
+
+    // No silent self-calibration: tracing first is an error.
+    Expected<TraceBundle> premature = engine->tryTrace(input);
+    ASSERT_FALSE(premature.hasValue());
+    EXPECT_EQ(premature.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(premature.error().message().find("not calibrated"),
+              std::string::npos);
+    EXPECT_FALSE(engine->calibrated());
+
+    ASSERT_TRUE(engine->tryCalibrate({input}).isOk());
+    EXPECT_EQ(engine->tuneReports().size(),
+              engine->topology().blocks().size());
+    Expected<TraceBundle> traced = engine->tryTrace(input);
+    ASSERT_TRUE(traced.hasValue()) << traced.error().toString();
+    EXPECT_EQ(traced.value().trace.samples, eopts.mc.samples);
+
+    // A wrong-shape input is refused on a calibrated engine too.
+    Expected<TraceBundle> misshapen =
+        engine->tryTrace(Tensor(Shape({1, 5, 5})));
+    ASSERT_FALSE(misshapen.hasValue());
+    EXPECT_EQ(misshapen.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(misshapen.error().message().find("shape"),
+              std::string::npos);
+
+    TraceOptions none;
+    none.samples = 0;
+    Expected<TraceBundle> empty = engine->tryTrace(input, none);
+    ASSERT_FALSE(empty.hasValue());
+    EXPECT_EQ(empty.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(empty.error().message().find("at least one sample"),
+              std::string::npos);
 }
 
 TEST(Engine, InferProducesConsistentResult)
 {
-    ModelOptions mopts;
-    mopts.widthMultiplier = 0.5;
     EngineOptions eopts;
     eopts.mc.samples = 4;
     eopts.optimizer.samples = 2;
-    FastBcnnEngine engine(buildLenet5(mopts), eopts);
-    engine.calibrate({makeMnistLikeImage(2, 3)});
-    EngineResult res = engine.infer(makeMnistLikeImage(4, 5));
+    std::unique_ptr<FastBcnnEngine> engine = smallLenetEngine(eopts);
+    ASSERT_TRUE(engine->tryCalibrate({makeMnistLikeImage(2, 3)}).isOk());
+    const EngineResult res =
+        engine->tryInfer(makeMnistLikeImage(4, 5)).value();
 
-    EXPECT_EQ(res.census.size(), engine.topology().blocks().size());
+    EXPECT_EQ(res.census.size(), engine->topology().blocks().size());
     EXPECT_GT(res.speedup, 1.0);
     EXPECT_GT(res.energyReduction, 0.0);
     EXPECT_LT(res.energyReduction, 1.0);
@@ -189,20 +223,18 @@ TEST(Aggregate, AveragesReports)
 
 TEST(Engine, BrngKindAffectsMasksNotShape)
 {
-    ModelOptions mopts;
-    mopts.widthMultiplier = 0.5;
     EngineOptions lfsr, sw;
     lfsr.mc.samples = sw.mc.samples = 2;
     lfsr.optimizer.samples = sw.optimizer.samples = 2;
     lfsr.mc.brng = BrngKind::Lfsr;
     sw.mc.brng = BrngKind::Software;
-    FastBcnnEngine ea(buildLenet5(mopts), lfsr);
-    FastBcnnEngine eb(buildLenet5(mopts), sw);
+    std::unique_ptr<FastBcnnEngine> ea = smallLenetEngine(lfsr);
+    std::unique_ptr<FastBcnnEngine> eb = smallLenetEngine(sw);
     const Tensor in = makeMnistLikeImage(1, 2);
-    ea.calibrate({in});
-    eb.calibrate({in});
-    TraceBundle ta = ea.trace(in);
-    TraceBundle tb = eb.trace(in);
+    ASSERT_TRUE(ea->tryCalibrate({in}).isOk());
+    ASSERT_TRUE(eb->tryCalibrate({in}).isOk());
+    const TraceBundle ta = ea->tryTrace(in).value();
+    const TraceBundle tb = eb->tryTrace(in).value();
     EXPECT_EQ(ta.trace.blocks.size(), tb.trace.blocks.size());
     EXPECT_EQ(ta.trace.samples, tb.trace.samples);
 }

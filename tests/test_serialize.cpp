@@ -32,8 +32,8 @@ TEST(Serialize, RoundTripIsLossless)
     Network b = smallLenet(2);  // different weights, same topology
 
     std::stringstream ss;
-    saveWeights(a, ss);
-    loadWeights(b, ss);
+    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
+    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
 
     // Every parameterised layer must now match bit for bit.
     for (const char *name : {"c1_conv", "c2_conv", "c3_conv"}) {
@@ -59,8 +59,8 @@ TEST(Serialize, SpecialValuesSurvive)
     conv.weights().at(2) = -3.4e38f; // near float lowest
     Network b = smallLenet(4);
     std::stringstream ss;
-    saveWeights(a, ss);
-    loadWeights(b, ss);
+    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
+    ASSERT_TRUE(tryLoadWeights(b, ss).isOk());
     const auto &cb = static_cast<const Conv2d &>(
         b.layer(b.findNode("c1_conv")));
     EXPECT_EQ(cb.weights().at(1), 1e-38f);
@@ -71,18 +71,24 @@ TEST(Serialize, RejectsGarbage)
 {
     Network net = smallLenet(5);
     std::stringstream ss("not-a-weight-file at all");
-    EXPECT_DEATH(loadWeights(net, ss), "not a fastbcnn");
+    const Status s = tryLoadWeights(net, ss);
+    ASSERT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::ParseError);
+    EXPECT_NE(s.message().find("not a fastbcnn"), std::string::npos);
 }
 
 TEST(Serialize, RejectsCountMismatch)
 {
     Network full = smallLenet(6);
     std::stringstream ss;
-    saveWeights(full, ss);
+    ASSERT_TRUE(trySaveWeights(full, ss).isOk());
     ModelOptions narrow;
     narrow.widthMultiplier = 0.25;
     Network other = buildLenet5(narrow);
-    EXPECT_DEATH(loadWeights(other, ss), "checkpoint holds");
+    const Status s = tryLoadWeights(other, ss);
+    ASSERT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::Mismatch);
+    EXPECT_NE(s.message().find("checkpoint holds"), std::string::npos);
 }
 
 TEST(Serialize, RejectsUnknownLayer)
@@ -91,19 +97,29 @@ TEST(Serialize, RejectsUnknownLayer)
     std::stringstream ss;
     ss << "fastbcnn-weights v1 X\nlayer nonexistent Conv2d 1 1\n"
           "0x1p+0\n0x1p+0\n";
-    EXPECT_DEATH(loadWeights(net, ss), "no layer named");
+    const Status s = tryLoadWeights(net, ss);
+    ASSERT_FALSE(s.isOk());
+    EXPECT_EQ(s.code(), ErrorCode::NotFound);
+    EXPECT_NE(s.message().find("no layer named"), std::string::npos);
 }
 
-TEST(Serialize, TruncatedFileFatal)
+TEST(Serialize, TruncatedFileIsError)
 {
     Network a = smallLenet(8);
     std::stringstream ss;
-    saveWeights(a, ss);
+    ASSERT_TRUE(trySaveWeights(a, ss).isOk());
     std::string text = ss.str();
     text.resize(text.size() / 2);
     std::stringstream half(text);
     Network b = smallLenet(9);
-    EXPECT_DEATH(loadWeights(b, half), "truncated|malformed");
+    const Status s = tryLoadWeights(b, half);
+    ASSERT_FALSE(s.isOk());
+    EXPECT_TRUE(s.code() == ErrorCode::ParseError ||
+                s.code() == ErrorCode::Truncated)
+        << s.toString();
+    EXPECT_TRUE(s.message().find("truncated") != std::string::npos ||
+                s.message().find("malformed") != std::string::npos)
+        << s.toString();
 }
 
 // ---------------------------------------------------------------------
@@ -120,7 +136,7 @@ goodCheckpoint(std::uint64_t seed)
 {
     Network net = smallLenet(seed);
     std::stringstream ss;
-    saveWeights(net, ss);
+    EXPECT_TRUE(trySaveWeights(net, ss).isOk());
     return ss.str();
 }
 
@@ -270,7 +286,7 @@ TEST(SerializeCorpus, FailedLoadLeavesWeightsUntouched)
 {
     Network net = smallLenet(23);
     std::stringstream before_ss;
-    saveWeights(net, before_ss);
+    ASSERT_TRUE(trySaveWeights(net, before_ss).isOk());
     const std::string before = before_ss.str();
 
     // A checkpoint that validates its first record but dies in the
@@ -285,7 +301,7 @@ TEST(SerializeCorpus, FailedLoadLeavesWeightsUntouched)
     ASSERT_FALSE(s.isOk());
 
     std::stringstream after_ss;
-    saveWeights(net, after_ss);
+    ASSERT_TRUE(trySaveWeights(net, after_ss).isOk());
     EXPECT_EQ(after_ss.str(), before);
 }
 

@@ -521,8 +521,15 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
 
     constexpr std::size_t producers = 4;
     constexpr std::size_t perProducer = 24;
+    // Each accepted request keeps the faults it was submitted with, so
+    // its census can be checked exactly.
+    struct Accepted {
+        RequestHandle handle;
+        bool killed = false;       ///< killOne attached
+        bool hasDeadline = false;  ///< 0.05 ms deadline set
+    };
     std::mutex handlesMutex;
-    std::vector<RequestHandle> handles;
+    std::vector<Accepted> handles;
     std::atomic<std::size_t> rejected{0};
 
     std::vector<std::thread> pool;
@@ -553,7 +560,8 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
                     continue;
                 }
                 const std::lock_guard<std::mutex> lock(handlesMutex);
-                handles.push_back(std::move(handle).value());
+                handles.push_back(Accepted{std::move(handle).value(),
+                                           i % 3 == 0, i % 5 == 0});
             }
         });
     }
@@ -568,13 +576,30 @@ TEST(ServeConcurrency, SoakManyProducersFaultsAndMidLoadDrain)
     // double-completions: a second set_value on any promise would
     // have thrown std::future_error inside the server.
     std::array<std::size_t, kOutcomeCount> byOutcome{};
-    for (RequestHandle &h : handles) {
-        ASSERT_EQ(h.response.wait_for(std::chrono::seconds(30)),
+    for (Accepted &a : handles) {
+        ASSERT_EQ(a.handle.response.wait_for(std::chrono::seconds(30)),
                   std::future_status::ready);
-        InferResponse resp = h.response.get();
+        InferResponse resp = a.handle.response.get();
         ++byOutcome[static_cast<std::size_t>(resp.outcome)];
-        if (resp.outcome == Outcome::Ok && resp.degraded()) {
-            EXPECT_EQ(resp.result->census.survived, 2u);
+        if (resp.outcome != Outcome::Ok || !resp.degraded())
+            continue;
+        // Sample 0 dies only to the kill plan; samples the deadline
+        // kept from launching are DeadlineExceeded casualties, so a
+        // killed request with a deadline may end on one survivor
+        // (quorum defaults to 1).
+        const DegradationCensus &census = resp.result->census;
+        EXPECT_EQ(census.survived + census.failures.size(), 3u);
+        for (const SampleFailure &f : census.failures) {
+            if (f.code == ErrorCode::DeadlineExceeded) {
+                EXPECT_TRUE(a.hasDeadline) << f.reason;
+            } else {
+                EXPECT_EQ(f.code, ErrorCode::FaultInjected) << f.reason;
+                EXPECT_EQ(f.sample, 0u);
+                EXPECT_TRUE(a.killed);
+            }
+        }
+        if (a.killed && !a.hasDeadline) {
+            EXPECT_EQ(census.survived, 2u);
         }
     }
     const std::size_t accepted = handles.size();

@@ -9,7 +9,6 @@
 
 #include <cmath>
 #include <random>
-#include <sstream>
 
 #include "models/zoo.hpp"
 #include "nn/activations.hpp"
@@ -261,19 +260,6 @@ TEST(Thresholds, SetGetAndMean)
     EXPECT_DEATH(set.of(9999, 0), "no thresholds");
 }
 
-TEST(Thresholds, TextRoundTrip)
-{
-    Network net = tinyBcnn();
-    BcnnTopology topo(net);
-    ThresholdSet set(topo, 3);
-    set.set(net.findNode("c2"), 2, 17);
-    std::stringstream ss;
-    set.saveText(ss);
-    ThresholdSet loaded = ThresholdSet::loadText(ss);
-    EXPECT_EQ(loaded.of(net.findNode("c2"), 2), 17);
-    EXPECT_EQ(loaded.of(net.findNode("c1"), 0), 3);
-}
-
 TEST(Predictor, ZeroIndexGatesPrediction)
 {
     BitVolume zeros(1, 2, 2);
@@ -441,8 +427,8 @@ TEST(Optimizer, MeetsConfidenceWhenFeasible)
     OptimizerOptions opts;
     opts.samples = 4;
     opts.confidence = 0.6;
-    OptimizeResult res = optimizeThresholds(topo, ind,
-                                            {randomInput(9)}, opts);
+    OptimizeResult res =
+        tryOptimizeThresholds(topo, ind, {randomInput(9)}, opts).value();
     ASSERT_EQ(res.reports.size(), topo.blocks().size());
     for (const BlockTuneReport &r : res.reports)
         EXPECT_GE(r.achievedConfidence, opts.confidence - 1e-9);
@@ -458,8 +444,10 @@ TEST(Optimizer, HigherConfidenceNeverIncreasesAlpha)
     lo.confidence = 0.55;
     hi.confidence = 0.95;
     const Tensor in = randomInput(10);
-    ThresholdSet a = optimizeThresholds(topo, ind, {in}, lo).thresholds;
-    ThresholdSet b = optimizeThresholds(topo, ind, {in}, hi).thresholds;
+    ThresholdSet a =
+        tryOptimizeThresholds(topo, ind, {in}, lo).value().thresholds;
+    ThresholdSet b =
+        tryOptimizeThresholds(topo, ind, {in}, hi).value().thresholds;
     // For the first block the histograms are identical in both runs
     // (no upstream cascade), so a stricter target can only keep or
     // lower each alpha.  Deeper blocks see different cascades, so the
@@ -469,21 +457,26 @@ TEST(Optimizer, HigherConfidenceNeverIncreasesAlpha)
         EXPECT_LE(b.of(blk.conv, m), a.of(blk.conv, m));
 }
 
-TEST(Optimizer, InvalidInputsFatal)
+TEST(Optimizer, InvalidOptionsAreInvalidArgument)
 {
     Network net = tinyBcnn();
     BcnnTopology topo(net);
     IndicatorSet ind(topo);
+    // The empty tuning set is EmptyTuningSetIsRecoverableError's.
     OptimizerOptions opts;
-    EXPECT_DEATH(optimizeThresholds(topo, ind, {}, opts),
-                 "at least one");
     opts.confidence = 1.5;
-    EXPECT_DEATH(optimizeThresholds(topo, ind, {randomInput(1)}, opts),
-                 "confidence");
+    Expected<OptimizeResult> res =
+        tryOptimizeThresholds(topo, ind, {randomInput(1)}, opts);
+    ASSERT_FALSE(res.hasValue());
+    EXPECT_EQ(res.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(res.error().message().find("confidence"),
+              std::string::npos);
     opts.confidence = 0.68;
     opts.step = 0;
-    EXPECT_DEATH(optimizeThresholds(topo, ind, {randomInput(1)}, opts),
-                 "step");
+    res = tryOptimizeThresholds(topo, ind, {randomInput(1)}, opts);
+    ASSERT_FALSE(res.hasValue());
+    EXPECT_EQ(res.error().code(), ErrorCode::InvalidArgument);
+    EXPECT_NE(res.error().message().find("step"), std::string::npos);
 }
 
 TEST(Optimizer, EvaluatePredictionReflectsThresholds)
@@ -546,9 +539,10 @@ TEST(Optimizer, FullConfidenceIsAcceptedAndConservative)
     // relative to the default 0.68 run.
     OptimizerOptions dflt;
     dflt.samples = 4;
-    ThresholdSet loose = optimizeThresholds(topo, ind,
-                                            {randomInput(30)}, dflt)
-                             .thresholds;
+    ThresholdSet loose =
+        tryOptimizeThresholds(topo, ind, {randomInput(30)}, dflt)
+            .value()
+            .thresholds;
     const ConvBlock &blk = topo.blocks()[0];
     for (std::size_t m = 0; m < loose.layer(blk.conv).size(); ++m)
         EXPECT_LE(res.value().thresholds.of(blk.conv, m),
@@ -570,8 +564,8 @@ TEST(Optimizer, AllPositiveKernelKeepsFullThreshold)
     OptimizerOptions opts;
     opts.samples = 4;
     opts.confidence = 0.99;
-    OptimizeResult res = optimizeThresholds(
-        topo, ind, {randomInput(31), randomInput(32)}, opts);
+    OptimizeResult res = tryOptimizeThresholds(
+        topo, ind, {randomInput(31), randomInput(32)}, opts).value();
     const NodeId conv = topo.blocks()[0].conv;
     for (std::size_t m = 0; m < res.thresholds.layer(conv).size(); ++m)
         EXPECT_EQ(res.thresholds.of(conv, m), opts.initialThreshold)
