@@ -113,7 +113,7 @@ sameBytes(const void *a, const void *b, std::size_t bytes)
 struct KernelRow {
     const char *name;
     std::string shape;
-    double ns[simd::kSimdLevelCount] = {0.0, 0.0, 0.0};
+    double ns[simd::kSimdLevelCount] = {};
 };
 
 double
@@ -335,7 +335,7 @@ runKernelBenches(const std::vector<simd::SimdLevel> &levels)
 // ---------------------------------------------------------------- //
 
 struct EndToEnd {
-    double ms[simd::kSimdLevelCount] = {0.0, 0.0, 0.0};
+    double ms[simd::kSimdLevelCount] = {};
     std::size_t predictedNeurons = 0;
     std::string model;
 };
@@ -541,8 +541,7 @@ main()
               << simd::simdLevelName(simd::detectedLevel()) << "\n\n";
 
     const std::vector<KernelRow> rows = runKernelBenches(levels);
-    Table t({"kernel", "shape", "scalar ns", "sse4 ns", "avx2 ns",
-             "sse4 x", "avx2 x"});
+    Table t({"kernel", "shape", "scalar ns", "avx2 ns", "avx2 x"});
     for (const KernelRow &row : rows) {
         auto cell = [&](simd::SimdLevel l) {
             return simd::levelAvailable(l)
@@ -555,8 +554,7 @@ main()
                        : std::string("-");
         };
         t.addRow({row.name, row.shape, cell(simd::SimdLevel::Scalar),
-                  cell(simd::SimdLevel::Sse4), cell(simd::SimdLevel::Avx2),
-                  speed(simd::SimdLevel::Sse4),
+                  cell(simd::SimdLevel::Avx2),
                   speed(simd::SimdLevel::Avx2)});
     }
     t.print(std::cout);

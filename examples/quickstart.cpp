@@ -18,7 +18,7 @@
  *                     demo the checkpoint pipeline: atomically save
  *                     the model in that format, reload it into a
  *                     fresh network, and print the integrity audit
- *   --simd {scalar,sse4,avx2}
+ *   --simd {scalar,avx2}
  *                     force a SIMD dispatch level (default: strongest
  *                     the CPU supports; outputs are bit-identical at
  *                     every level)
@@ -103,8 +103,7 @@ parseArgs(int argc, char **argv)
             cli.simdLevel = value();
             simd::SimdLevel parsed;
             if (!simd::simdLevelFromName(cli.simdLevel, parsed)) {
-                std::cerr << "--simd must be 'scalar', 'sse4' or "
-                             "'avx2'\n";
+                std::cerr << "--simd must be 'scalar' or 'avx2'\n";
                 // NOLINTNEXTLINE-FASTBCNN(error-discipline): CLI arg-parse exit
                 std::exit(2);
             }
@@ -126,7 +125,7 @@ parseArgs(int argc, char **argv)
                          "[--deadline-ms D] [--quorum Q] "
                          "[--audit-rate R] "
                          "[--checkpoint-format text|binary] "
-                         "[--simd scalar|sse4|avx2] "
+                         "[--simd scalar|avx2] "
                          "[--precision f32|int8] "
                          "[--target-ci-width W] [--min-samples M] "
                          "[--sample-budget B]\n";

@@ -62,21 +62,11 @@ calibrateSparsity(Network &net, const std::vector<Tensor> &probes,
     std::uniform_real_distribution<double> jitter(-opts.channelJitter,
                                                   opts.channelJitter);
 
-    auto eval_node = [&](NodeId id, std::size_t p,
-                         std::vector<std::vector<Tensor>> &outs) {
-        std::vector<const Tensor *> ins;
-        for (NodeId producer : net.inputsOf(id)) {
-            ins.push_back(producer == Network::inputNode
-                              ? &probes[p] : &outs[p][producer]);
-        }
-        outs[p][id] = net.layer(id).forward(ins, nullptr);
-    };
-
     std::vector<std::vector<Tensor>> outs(
         probes.size(), std::vector<Tensor>(net.size()));
     for (NodeId id = 0; id < net.size(); ++id) {
         for (std::size_t p = 0; p < probes.size(); ++p)
-            eval_node(id, p, outs);
+            outs[p][id] = net.forwardNode(id, probes[p], outs[p]);
         if (net.layer(id).kind() != LayerKind::Conv2d)
             continue;
 
@@ -109,7 +99,7 @@ calibrateSparsity(Network &net, const std::vector<Tensor> &probes,
         }
         // Downstream layers must see the calibrated activations.
         for (std::size_t p = 0; p < probes.size(); ++p)
-            eval_node(id, p, outs);
+            outs[p][id] = net.forwardNode(id, probes[p], outs[p]);
     }
 }
 

@@ -79,18 +79,29 @@ Network::forward(const Tensor &input, ForwardHooks *hooks) const
     FASTBCNN_CHECK(!nodes_.empty(), "forward on empty network");
     std::vector<Tensor> outputs(nodes_.size());
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        std::vector<const Tensor *> ins;
-        ins.reserve(nodes_[i].inputs.size());
-        for (NodeId id : nodes_[i].inputs) {
-            ins.push_back(id == inputNode ? &input : &outputs[id]);
-        }
-        outputs[i] = nodes_[i].layer->forward(ins, hooks);
+        outputs[i] = forwardNode(i, input, outputs, hooks);
         if (hooks) {
             hooks->mutateActivation(nodes_[i].layer->name(),
                                     nodes_[i].layer->kind(), outputs[i]);
         }
     }
     return std::move(outputs.back());
+}
+
+Tensor
+Network::forwardNode(NodeId id, const Tensor &input,
+                     const std::vector<Tensor> &outputs,
+                     ForwardHooks *hooks) const
+{
+    FASTBCNN_CHECK(id < nodes_.size(), "node id out of range");
+    const Node &node = nodes_[id];
+    std::vector<const Tensor *> ins;
+    ins.reserve(node.inputs.size());
+    for (NodeId producer : node.inputs) {
+        ins.push_back(producer == inputNode ? &input
+                                            : &outputs[producer]);
+    }
+    return node.layer->forward(ins, hooks);
 }
 
 const Layer &

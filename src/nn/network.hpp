@@ -64,6 +64,22 @@ class Network
     Tensor forward(const Tensor &input, ForwardHooks *hooks = nullptr)
         const;
 
+    /**
+     * Evaluate one node: gather its producers' outputs and run its
+     * layer.  forward() and every node-by-node loop share this step.
+     * It does not call ForwardHooks::mutateActivation; forward() does
+     * that after it.
+     *
+     * @param id      node to evaluate
+     * @param input   the network input (consumed by inputNode edges)
+     * @param outputs per-node outputs, filled for every producer of @p id
+     * @param hooks   optional dropout/capture hooks (may be nullptr)
+     * @return the node's output
+     */
+    Tensor forwardNode(NodeId id, const Tensor &input,
+                       const std::vector<Tensor> &outputs,
+                       ForwardHooks *hooks = nullptr) const;
+
     /** @return the model name. */
     const std::string &name() const { return name_; }
     /** @return declared input shape (CHW). */

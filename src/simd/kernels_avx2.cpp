@@ -6,13 +6,13 @@
  * FASTBCNN_SIMD_BUILD_AVX2 is defined (x86 targets with the
  * FASTBCNN_SIMD_AVX2 CMake option on).
  *
- * Bit-identity notes (full contract in simd.hpp): identical structure
- * to the SSE4.2 level — vectorize across output columns only, scalar
- * tap order per output element, separate mul + add (never fmadd,
- * which would double-round differently), cmp + blendv max semantics,
- * cmp + and ReLU semantics, lane-strided dense doubles (two __m256d
- * registers = the 8 scalar lanes).  Conv column tails narrow to
- * 4-wide SSE and then scalar — same per-element mul + add either way.
+ * Bit-identity notes (full contract in simd.hpp): vectorize across
+ * output columns only, scalar tap order per output element, separate
+ * mul + add (never fmadd, which would double-round differently),
+ * cmp + blendv max semantics, cmp + and ReLU semantics, lane-strided
+ * dense doubles (two __m256d registers = the 8 scalar lanes).  Conv
+ * column tails narrow to 4-wide SSE and then scalar — same
+ * per-element mul + add either way.
  */
 
 #include "simd/kernels_internal.hpp"

@@ -5,9 +5,9 @@
  * implementations.
  *
  * The scalar kernels are inline here — not in kernels_scalar.cpp — so
- * the SSE4 / AVX2 translation units can fall back to them for shapes
- * their vector paths do not cover (e.g. exotic strides, k + padding
- * too wide for single-word windows) while still being compiled under
+ * the AVX2 translation unit can fall back to them for shapes its
+ * vector paths do not cover (e.g. exotic strides, k + padding too
+ * wide for single-word windows) while still being compiled under
  * the same -ffp-contract=off policy.  Falling back never changes
  * results: the scalar kernels ARE the semantics, the vector kernels
  * are bit-identical reimplementations (see simd.hpp).
@@ -28,8 +28,6 @@ namespace fastbcnn::simd::detail {
 
 /** @return the scalar reference table (always available). */
 const SimdKernels &scalarTable();
-/** @return the SSE4.2 table, or nullptr when not compiled in. */
-const SimdKernels *sse4TableOrNull();
 /** @return the AVX2 table, or nullptr when not compiled in. */
 const SimdKernels *avx2TableOrNull();
 

@@ -6,10 +6,11 @@
  * inner kernel of the library: the float compute side (conv / dense /
  * pooling / ReLU) and the bit-parallel skip-prediction side (word
  * popcounts and the Eq. 5 nw-input counting).  At startup the best
- * table the CPU supports is selected by cpuid (Scalar → SSE4.2 →
- * AVX2), overridable for testing with FASTBCNN_SIMD=scalar|sse4|avx2
- * — the layering follows Stockfish NNUE's USE_AVX2 / kSimdWidth
- * scheme, but resolved at run time instead of build time.
+ * table the CPU supports is selected by cpuid (Scalar → AVX2; an x86
+ * host without AVX2 runs Scalar), overridable for testing with
+ * FASTBCNN_SIMD=scalar|avx2 — the layering follows Stockfish NNUE's
+ * USE_AVX2 / kSimdWidth scheme, but resolved at run time instead of
+ * build time.
  *
  * Bit-identity contract: every table produces bit-identical float
  * outputs and bit-identical skip counts to the Scalar reference table
@@ -42,12 +43,11 @@ namespace fastbcnn::simd {
 /** Dispatch levels, ordered weakest to strongest. */
 enum class SimdLevel : int {
     Scalar = 0, ///< portable reference kernels (any CPU)
-    Sse4 = 1,   ///< SSE4.2 + POPCNT
-    Avx2 = 2,   ///< AVX2 (8-wide float lanes, 4x64-bit popcount lanes)
+    Avx2 = 1,   ///< AVX2 (8-wide float lanes, 4x64-bit popcount lanes)
 };
 
 /** Number of dispatch levels (for iteration in tests/benches). */
-inline constexpr int kSimdLevelCount = 3;
+inline constexpr int kSimdLevelCount = 2;
 
 /**
  * The dispatch table: one entry per hot kernel.  All pointers are
@@ -210,8 +210,8 @@ SimdLevel activeLevel();
 
 /**
  * @return the strongest level this binary can run here: the cpuid
- * capability clamped to what was compiled in (FASTBCNN_SIMD_SSE4 /
- * FASTBCNN_SIMD_AVX2 CMake options).
+ * capability clamped to what was compiled in (the FASTBCNN_SIMD_AVX2
+ * CMake option).
  */
 SimdLevel detectedLevel();
 
@@ -234,11 +234,11 @@ SimdLevel setLevel(SimdLevel level);
  */
 const SimdKernels &kernelsFor(SimdLevel level);
 
-/** @return "scalar" / "sse4" / "avx2". */
+/** @return "scalar" / "avx2". */
 const char *simdLevelName(SimdLevel level);
 
 /**
- * Parse a level name ("scalar" | "sse4" | "avx2", as accepted by
+ * Parse a level name ("scalar" | "avx2", as accepted by
  * FASTBCNN_SIMD and --simd).  @return false on an unknown name.
  */
 bool simdLevelFromName(std::string_view name, SimdLevel &out);

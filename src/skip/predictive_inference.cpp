@@ -16,13 +16,7 @@ predictiveForward(const BcnnTopology &topo,
     std::vector<Tensor> outputs(net.size());
 
     for (NodeId id = 0; id < net.size(); ++id) {
-        std::vector<const Tensor *> ins;
-        ins.reserve(net.inputsOf(id).size());
-        for (NodeId producer : net.inputsOf(id)) {
-            ins.push_back(producer == Network::inputNode
-                              ? &input : &outputs[producer]);
-        }
-        outputs[id] = net.layer(id).forward(ins, &replay);
+        outputs[id] = net.forwardNode(id, input, outputs, &replay);
 
         if (net.layer(id).kind() != LayerKind::Conv2d)
             continue;

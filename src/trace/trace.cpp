@@ -8,20 +8,6 @@ namespace fastbcnn {
 
 namespace {
 
-/** Evaluate one node given the per-node output vector and hooks. */
-Tensor
-evalNode(const Network &net, NodeId id, const Tensor &input,
-         const std::vector<Tensor> &outputs, ForwardHooks *hooks)
-{
-    std::vector<const Tensor *> ins;
-    ins.reserve(net.inputsOf(id).size());
-    for (NodeId producer : net.inputsOf(id)) {
-        ins.push_back(producer == Network::inputNode
-                          ? &input : &outputs[producer]);
-    }
-    return net.layer(id).forward(ins, hooks);
-}
-
 /** Cnvlutin work of one block for one sample. */
 struct CnvWork {
     std::array<std::uint64_t, 4> laneCycles{};
@@ -189,7 +175,7 @@ buildTrace(const BcnnTopology &topo, const IndicatorSet &indicators,
         std::vector<Tensor> node_out(net.size());
         SamplingHooks hooks(*brng, true);
         for (NodeId id = 0; id < net.size(); ++id)
-            node_out[id] = evalNode(net, id, input, node_out, &hooks);
+            node_out[id] = net.forwardNode(id, input, node_out, &hooks);
         const MaskSet masks = hooks.takeMasks();
 
         SampleTrace sample;

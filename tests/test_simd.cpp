@@ -1,7 +1,7 @@
 /**
  * @file
  * SimdDispatch: pins the runtime-dispatched kernel layer's central
- * promise — every compiled dispatch level (scalar / SSE4.2 / AVX2)
+ * promise — every compiled dispatch level (scalar / AVX2)
  * produces bit-identical float outputs and bit-identical skip counts
  * to the scalar reference on any input, including non-multiple-of-
  * width shapes, padding/stride edges, NaN/signed-zero values and
@@ -111,6 +111,7 @@ TEST(SimdDispatch, LevelNamesRoundTrip)
     }
     simd::SimdLevel parsed;
     EXPECT_FALSE(simd::simdLevelFromName("avx512", parsed));
+    EXPECT_FALSE(simd::simdLevelFromName("sse4", parsed));
     EXPECT_FALSE(simd::simdLevelFromName("", parsed));
     EXPECT_FALSE(simd::simdLevelFromName("Scalar", parsed));
 }
